@@ -6,14 +6,13 @@
 /// remove any surface that is not listed as stable in docs/api.md; MAJOR
 /// stays 0 until the first stability promise. Compare numerically:
 ///
-///   #if DAGPERF_VERSION_MAJOR == 0 && DAGPERF_VERSION_MINOR >= 9
-///     // sharded fleet serving: router::Router consistent-hash front-end,
-///     // protocol::LineClient, scoped snapshot import (warm handoff)
+///   #if DAGPERF_VERSION_MAJOR == 0 && DAGPERF_VERSION_MINOR >= 10
+///     // one submission path: EstimationService::Submit(EstimateRequest)
 ///   #endif
 #define DAGPERF_VERSION_MAJOR 0
-#define DAGPERF_VERSION_MINOR 9
+#define DAGPERF_VERSION_MINOR 10
 
 /// "MAJOR.MINOR" as a string literal.
-#define DAGPERF_VERSION_STRING "0.9"
+#define DAGPERF_VERSION_STRING "0.10"
 
 #endif  // DAGPERF_VERSION_H_

@@ -36,33 +36,6 @@ struct SweepCandidate {
   std::string label;
 };
 
-/// Straggler hedging for pooled sweeps (tail-latency control).
-///
-/// A candidate that runs past a quantile of recently observed candidate
-/// latencies gets a *hedge*: a second evaluation of the same candidate
-/// launched on the pool. The first result wins; the loser is cancelled via
-/// its CancelToken and discarded. Because sources are deterministic and the
-/// memo is bit-exact, the hedge computes the identical bits, so hedging
-/// changes only latency, never results. The delay quantile comes from a
-/// process-wide windowed latency histogram fed by every completed candidate
-/// (obs::WindowedHistogram::RecordAlways — it fills with metrics disabled
-/// too). Hedging needs a pool and is ignored on the serial path.
-struct SweepHedgeOptions {
-  bool enabled = false;
-  /// Hedge a candidate once it runs past this quantile of the recent
-  /// candidate-latency window.
-  double quantile = 0.95;
-  /// No hedging until the window holds at least this many completions —
-  /// an empty or thin window has no meaningful tail.
-  int min_samples = 8;
-  /// Clamp on the computed delay: never hedge sooner than this (spawn cost
-  /// would dominate) nor later (bounds worst-case straggler exposure).
-  double min_delay_ms = 0.05;
-  double max_delay_ms = 1000.0;
-  /// Lookback into the latency window when computing the quantile.
-  double window_seconds = 120.0;
-};
-
 struct SweepOptions {
   /// Worker threads: 1 evaluates serially on the calling thread (the
   /// baseline loop), 0 uses the process-wide default pool, > 1 runs on a
@@ -120,10 +93,6 @@ struct SweepOptions {
   /// propagated into these (unless the caller set estimator-level ones), so
   /// a firing budget also unwinds the candidate currently estimating.
   EstimatorOptions estimator;
-
-  /// Straggler hedging (see SweepHedgeOptions). Off by default: it spends
-  /// duplicate work for tail latency, a trade only serving paths want.
-  SweepHedgeOptions hedge;
 };
 
 struct SweepStats {
@@ -149,13 +118,6 @@ struct SweepStats {
   std::uint64_t prefix_misses = 0;
   std::uint64_t resumed_states = 0;
   std::uint64_t checkpoints_stored = 0;
-  /// Straggler hedging over this batch (SweepHedgeOptions): hedges actually
-  /// submitted to the pool, hedges whose result won the race, and hedges
-  /// that executed but lost (duplicate work spent). launched - won - wasted
-  /// hedges were cancelled before they started.
-  std::uint64_t hedges_launched = 0;
-  std::uint64_t hedges_won = 0;
-  std::uint64_t hedges_wasted = 0;
   /// Index of the smallest-makespan successful estimate (first on ties),
   /// -1 when every candidate failed.
   int best_index = -1;
@@ -165,13 +127,10 @@ struct SweepStats {
 struct SweepResult {
   /// Per-candidate estimates, in request order.
   std::vector<Result<DagEstimate>> estimates;
-  /// Wall-clock per candidate in milliseconds (retries and hedge races
-  /// included), -1 for slots that never ran. For a hedge-won race this is
-  /// the time until the winning copy settled — the result existed from that
-  /// moment; the straggling primary unwinding afterwards is duplicated-work
-  /// cost, visible in hedges_wasted/hedges_won, not latency. Benches read
-  /// this to report candidate tail latency; it is measured unconditionally
-  /// because timing two clock reads is noise next to an estimator call.
+  /// Wall-clock per candidate in milliseconds (retries included), -1 for
+  /// slots that never ran. Benches read this to report candidate tail
+  /// latency; it is measured unconditionally because timing two clock reads
+  /// is noise next to an estimator call.
   std::vector<double> candidate_latency_ms;
   SweepStats stats;
 };
@@ -188,15 +147,6 @@ SweepResult EstimateBatch(const std::vector<SweepCandidate>& requests,
                           const SchedulerConfig& scheduler,
                           const TaskTimeSource& source,
                           const SweepOptions& options = {});
-
-/// Pre-Result transition shim: `*out` receives the full SweepResult and the
-/// returned Status is the first per-candidate error (Ok when every candidate
-/// completed). Will be removed next release — call EstimateBatch directly.
-[[deprecated("use EstimateBatch returning SweepResult")]]
-Status EstimateBatch(const std::vector<SweepCandidate>& requests,
-                     const SchedulerConfig& scheduler,
-                     const TaskTimeSource& source, const SweepOptions& options,
-                     SweepResult* out);
 
 /// Compiles one single-job workflow per reducer count — the candidate set of
 /// a reducer sweep. Fails on invalid counts (< 1) or uncompilable specs.

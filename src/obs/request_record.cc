@@ -50,7 +50,6 @@ void AppendRecordJson(std::ostringstream& out, const RequestRecord& r) {
       << ",\"retries\":" << static_cast<int>(r.retries)
       << ",\"had_deadline\":" << (r.had_deadline ? "true" : "false")
       << ",\"deadline_met\":" << (r.deadline_met ? "true" : "false")
-      << ",\"watchdog_fired\":" << (r.watchdog_fired ? "true" : "false")
       << ",\"breaker_rejected\":" << (r.breaker_rejected ? "true" : "false")
       << ",\"shed\":" << (r.shed ? "true" : "false")
       << ",\"expired_in_queue\":" << (r.expired_in_queue ? "true" : "false")

@@ -154,17 +154,6 @@ Json SweepToJson(const ServiceSweepResult& served) {
       "checkpoints_stored",
       Json::MakeNumber(static_cast<double>(stats.checkpoints_stored)));
   sweep_stats.Set("incremental", std::move(incremental));
-  // Hedge accounting appears only when the race actually launched hedges,
-  // so unhedged sweeps keep their response shape.
-  if (stats.hedges_launched > 0) {
-    Json hedges = Json::MakeObject();
-    hedges.Set("launched",
-               Json::MakeNumber(static_cast<double>(stats.hedges_launched)));
-    hedges.Set("won", Json::MakeNumber(static_cast<double>(stats.hedges_won)));
-    hedges.Set("wasted",
-               Json::MakeNumber(static_cast<double>(stats.hedges_wasted)));
-    sweep_stats.Set("hedges", std::move(hedges));
-  }
   result.Set("stats", std::move(sweep_stats));
   return result;
 }
@@ -316,24 +305,23 @@ bool ParseRequestLine(const std::string& line, Json* request,
   return true;
 }
 
-/// Reads the shared request fields (workflow / inline flow / cluster /
-/// budget). Returns non-Ok on a malformed inline flow or field type.
-Status FillRequestCommon(const Json& request, std::string* workflow,
-                         std::shared_ptr<const DagWorkflow>* flow,
-                         std::string* cluster, Budget* budget) {
-  *workflow = request.GetString("workflow", "");
-  *cluster = request.GetString("cluster", "");
+/// Builds a request from the fields every estimating op shares (workflow /
+/// inline flow / cluster / tenant / deadline). Fails on a malformed inline
+/// flow or field value.
+Result<EstimateRequest> RequestFromWire(const Json& request) {
+  std::string workflow = request.GetString("workflow", "");
+  std::shared_ptr<const DagWorkflow> flow;
   if (const Json* inline_flow = request.Get("flow"); inline_flow != nullptr) {
     Result<DagWorkflow> parsed = WorkflowFromJson(*inline_flow);
     if (!parsed.ok()) return parsed.status();
-    *flow = std::make_shared<const DagWorkflow>(std::move(parsed).value());
+    flow = std::make_shared<const DagWorkflow>(std::move(parsed).value());
   }
-  if (workflow->empty() && *flow == nullptr) {
+  if (workflow.empty() && flow == nullptr) {
     return Status::InvalidArgument(
         "request must carry \"workflow\" (a registered name) or an inline "
         "\"flow\" document");
   }
-  if (!workflow->empty() && *flow != nullptr) {
+  if (!workflow.empty() && flow != nullptr) {
     return Status::InvalidArgument(
         "\"workflow\" and \"flow\" are mutually exclusive");
   }
@@ -341,8 +329,13 @@ Status FillRequestCommon(const Json& request, std::string* workflow,
   if (deadline_s < 0) {
     return Status::InvalidArgument("\"deadline_s\" must be >= 0");
   }
-  *budget = Budget::Within(deadline_s);
-  return Status::Ok();
+  EstimateRequest built = flow != nullptr
+                              ? EstimateRequest::For(std::move(flow))
+                              : EstimateRequest::For(std::move(workflow));
+  built.OnCluster(request.GetString("cluster", ""))
+      .AsTenant(request.GetString("tenant", ""))
+      .WithBudget(Budget::Within(deadline_s));
+  return built;
 }
 
 }  // namespace
@@ -378,36 +371,21 @@ std::string Protocol::HandleRequest(const Json& request) {
   const std::string op = request.GetString("op", "");
 
   if (op == "estimate" || op == "explain") {
-    ServiceRequest service_request;
-    service_request.explain = (op == "explain");
-    service_request.tenant = request.GetString("tenant", "");
-    if (Status common = FillRequestCommon(
-            request, &service_request.workflow, &service_request.flow,
-            &service_request.cluster, &service_request.budget);
-        !common.ok()) {
-      return ErrorResponse(id, common).DumpCompact();
-    }
+    Result<EstimateRequest> built = RequestFromWire(request);
+    if (!built.ok()) return ErrorResponse(id, built.status()).DumpCompact();
     const double nodes = request.GetNumber("nodes", 0.0);
-    service_request.nodes = static_cast<int>(nodes);
-    if (nodes < 0 || nodes != static_cast<double>(service_request.nodes)) {
+    const int node_count = static_cast<int>(nodes);
+    if (nodes < 0 || nodes != static_cast<double>(node_count)) {
       return ErrorResponse(
                  id, Status::InvalidArgument("\"nodes\" must be a non-negative "
                                              "integer"))
           .DumpCompact();
     }
-    // Lowered struct -> the 0.8 unified builder. Wire "coalesce": false
-    // opts this request out of in-flight coalescing.
-    EstimateRequest unified =
-        service_request.flow != nullptr
-            ? EstimateRequest::For(std::move(service_request.flow))
-            : EstimateRequest::For(std::move(service_request.workflow));
-    unified.OnCluster(std::move(service_request.cluster))
-        .AsTenant(std::move(service_request.tenant))
-        .WithNodes(service_request.nodes)
-        .WithBudget(std::move(service_request.budget))
-        .WithExplain(service_request.explain);
-    if (!request.GetBool("coalesce", true)) unified.WithoutCoalescing();
-    Result<EstimateResponse> served = service_->Submit(std::move(unified)).get();
+    EstimateRequest& estimate = built.value();
+    estimate.WithNodes(node_count).WithExplain(op == "explain");
+    // Wire "coalesce": false opts this request out of in-flight coalescing.
+    if (!request.GetBool("coalesce", true)) estimate.WithoutCoalescing();
+    Result<EstimateResponse> served = service_->Submit(std::move(estimate)).get();
     if (!served.ok()) return ErrorResponse(id, served.status()).DumpCompact();
     return OkResponse(id, EstimateToJson(*served.value().estimate,
                                          op == "explain"))
@@ -415,20 +393,15 @@ std::string Protocol::HandleRequest(const Json& request) {
   }
 
   if (op == "sweep") {
-    ServiceSweepRequest sweep_request;
-    sweep_request.tenant = request.GetString("tenant", "");
-    if (Status common = FillRequestCommon(
-            request, &sweep_request.workflow, &sweep_request.flow,
-            &sweep_request.cluster, &sweep_request.budget);
-        !common.ok()) {
-      return ErrorResponse(id, common).DumpCompact();
-    }
+    Result<EstimateRequest> built = RequestFromWire(request);
+    if (!built.ok()) return ErrorResponse(id, built.status()).DumpCompact();
     const Json* nodes_list = request.Get("nodes_list");
     if (nodes_list == nullptr || nodes_list->type() != Json::Type::kArray) {
       return ErrorResponse(id, Status::InvalidArgument(
                                    "sweep requires a \"nodes_list\" array"))
           .DumpCompact();
     }
+    std::vector<int> node_counts;
     for (const Json& entry : nodes_list->AsArray()) {
       if (entry.type() != Json::Type::kNumber || entry.AsNumber() < 1 ||
           entry.AsNumber() != std::floor(entry.AsNumber())) {
@@ -437,25 +410,17 @@ std::string Protocol::HandleRequest(const Json& request) {
                                      ">= 1"))
             .DumpCompact();
       }
-      sweep_request.nodes_list.push_back(static_cast<int>(entry.AsNumber()));
+      node_counts.push_back(static_cast<int>(entry.AsNumber()));
     }
-    // Lowered struct -> the 0.8 unified builder. Wire "hedge": true opts
-    // this sweep into straggler hedging with the SweepHedgeOptions defaults
-    // (a sweep that needs tuned knobs sets ServiceOptions::hedge instead).
-    EstimateRequest unified =
-        sweep_request.flow != nullptr
-            ? EstimateRequest::For(std::move(sweep_request.flow))
-            : EstimateRequest::For(std::move(sweep_request.workflow));
-    unified.OnCluster(std::move(sweep_request.cluster))
-        .AsTenant(std::move(sweep_request.tenant))
-        .SweepNodes(std::move(sweep_request.nodes_list))
-        .WithBudget(std::move(sweep_request.budget));
-    if (request.GetBool("hedge", false)) {
-      SweepHedgeOptions hedge;
-      hedge.enabled = true;
-      unified.WithHedging(hedge);
+    if (node_counts.empty()) {
+      return ErrorResponse(id, Status::InvalidArgument(
+                                   "sweep has an empty nodes list"))
+          .DumpCompact();
     }
-    Result<EstimateResponse> served = service_->Submit(std::move(unified)).get();
+    // A wire "hedge" field (hedged sweeps, removed in 0.10) is accepted and
+    // ignored, so old clients get the same answer as before.
+    built.value().SweepNodes(std::move(node_counts));
+    Result<EstimateResponse> served = service_->Submit(std::move(built).value()).get();
     if (!served.ok()) return ErrorResponse(id, served.status()).DumpCompact();
     return OkResponse(id, SweepToJson(*served.value().sweep)).DumpCompact();
   }

@@ -15,57 +15,17 @@
 
 namespace dagperf {
 
-/// The request/response vocabulary of the 0.8 submission API.
-///
-/// Pre-0.8 the service grew three parallel entry points (Submit /
-/// SubmitBatch / SubmitSweep), each with its own request struct and future
-/// type. 0.8 collapses them behind one typed builder (EstimateRequest) and
-/// one response union (EstimateResponse): a request either prices one
-/// configuration or sweeps a candidate list, and the builder is the single
-/// place every per-request knob (tenant, budget, explain, coalescing,
-/// hedging) lives. The pre-0.8 structs below remain the lowered form the
-/// service executes — and the deprecated shim signatures still accept them —
-/// but new code should only ever spell EstimateRequest.
-
-/// One estimate query (lowered form). Exactly one of `workflow` (a
-/// registered name) or `flow` (a caller-supplied workflow, shared ownership
-/// so it outlives the async execution) must be set.
-struct ServiceRequest {
-  std::string workflow;
-  std::shared_ptr<const DagWorkflow> flow;
-
-  /// Registered cluster name; empty selects "default".
-  std::string cluster;
-
-  /// Tenant the request is accounted and fair-shared under (wire field
-  /// "tenant"); empty selects "default". See service/tenancy.h.
-  std::string tenant;
-
-  /// When > 0, overrides the cluster's node count for this request only.
-  /// Cheap: node hardware (and thus the BOE model and cache scope) is
-  /// unchanged; per-node task populations are part of every memo key.
-  int nodes = 0;
-
-  /// Per-request budget; merged with the service's default deadline. Polled
-  /// at admission, at dequeue (a request can expire while queued), and per
-  /// estimator state.
-  Budget budget;
-
-  /// Attribute bottlenecks and derive the critical path (explain verb).
-  bool explain = false;
-
-  /// Opt out of in-flight coalescing for this request: it always runs its
-  /// own computation, even when an identical request is already executing.
-  /// Coalescing is value-keyed and bit-exact, so the only reason to opt out
-  /// is wanting this request's *timing* to be its own (benchmarks, probes).
-  bool coalesce = true;
-};
+/// The request/response vocabulary of the submission API: one typed builder
+/// (EstimateRequest) and one response union (EstimateResponse). A request
+/// either prices one configuration or sweeps a candidate list, and the
+/// builder is the single place every per-request knob (tenant, budget,
+/// explain, coalescing) lives.
 
 /// A served estimate: the model output plus resolved names and the
 /// service-side timing the caller would otherwise have to measure.
 struct WorkflowEstimate {
   DagEstimate estimate;
-  /// Filled when ServiceRequest::explain was set.
+  /// Filled when the request was built WithExplain().
   std::vector<CriticalSegment> critical_path;
   /// The flow that was estimated (registered or caller-supplied) — kept so
   /// renderers (protocol explain reports) can name jobs without a second
@@ -88,23 +48,6 @@ struct WorkflowEstimate {
   bool coalesced = false;
 };
 
-/// A cluster-size sweep query (capacity planning, lowered form): price
-/// `workflow` at every node count in `nodes_list` on one service turn,
-/// sharing the persistent memo across candidates.
-struct ServiceSweepRequest {
-  std::string workflow;
-  std::shared_ptr<const DagWorkflow> flow;
-  std::string cluster;
-  /// Tenant accounting, as on ServiceRequest. A sweep holds one admission
-  /// slot but classifies as expensive work for overload shedding.
-  std::string tenant;
-  std::vector<int> nodes_list;
-  Budget budget;
-  /// Per-request straggler hedging; when not enabled the service-level
-  /// default (ServiceOptions::hedge) applies instead.
-  SweepHedgeOptions hedge;
-};
-
 struct ServiceSweepResult {
   SweepResult sweep;
   std::vector<int> nodes_list;
@@ -113,12 +56,11 @@ struct ServiceSweepResult {
   double service_ms = 0.0;
 };
 
-/// The 0.8 unified request: a typed builder covering everything the three
-/// pre-0.8 entry points accepted. A request starts from a workflow
-/// (registered name or inline flow) and is refined by chaining; calling
-/// SweepNodes switches it into sweep mode. Lowering (ToEstimate/ToSweep) is
-/// exposed so migrating callers can diff against the structs they used to
-/// fill by hand.
+/// The one request type EstimationService::Submit accepts. A request starts
+/// from a workflow (registered name or inline flow) and is refined by
+/// chaining; calling SweepNodes switches it into sweep mode, which prices
+/// the workflow at every node count on one service turn, sharing the
+/// persistent memo across candidates.
 ///
 ///   auto response = service.Submit(
 ///       EstimateRequest::For("daily-etl").OnCluster("prod")
@@ -193,46 +135,14 @@ class EstimateRequest {
     return *this;
   }
 
-  /// Straggler hedging for sweep mode (overrides the service default).
-  EstimateRequest& WithHedging(SweepHedgeOptions hedge) {
-    hedge_ = hedge;
-    return *this;
-  }
-
   /// Whether SweepNodes was called — decides which half of the response the
   /// service fills.
   bool is_sweep() const { return !nodes_list_.empty(); }
 
-  /// Lowers to the single-estimate struct the service executes. Sweep-only
-  /// fields (nodes_list, hedge) are dropped.
-  ServiceRequest ToEstimate() const {
-    ServiceRequest request;
-    request.workflow = workflow_;
-    request.flow = flow_;
-    request.cluster = cluster_;
-    request.tenant = tenant_;
-    request.nodes = nodes_;
-    request.budget = budget_;
-    request.explain = explain_;
-    request.coalesce = coalesce_;
-    return request;
-  }
-
-  /// Lowers to the sweep struct. Single-estimate-only fields (nodes,
-  /// explain, coalesce) are dropped.
-  ServiceSweepRequest ToSweep() const {
-    ServiceSweepRequest request;
-    request.workflow = workflow_;
-    request.flow = flow_;
-    request.cluster = cluster_;
-    request.tenant = tenant_;
-    request.nodes_list = nodes_list_;
-    request.budget = budget_;
-    request.hedge = hedge_;
-    return request;
-  }
-
  private:
+  /// The service lowers a request into the form its execution path runs.
+  friend class EstimationService;
+
   std::string workflow_;
   std::shared_ptr<const DagWorkflow> flow_;
   std::string cluster_;
@@ -242,7 +152,6 @@ class EstimateRequest {
   Budget budget_;
   bool explain_ = false;
   bool coalesce_ = true;
-  SweepHedgeOptions hedge_;
 };
 
 /// What the unified Submit resolves to: exactly one of the two members is

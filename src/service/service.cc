@@ -141,9 +141,6 @@ struct EstimationService::CoalesceGroup {
     /// The waiter's own signals (caller cancel + shutdown link + deadline)
     /// — what fulfilment checks before handing over the leader's answer.
     Budget budget;
-    /// The caller's raw token, so fulfilment can tell a caller cancel from
-    /// the shutdown signal (MapCancelCause).
-    CancelToken caller_cancel;
     std::string workflow;
     std::string tenant;
     obs::RequestRecord record;
@@ -198,12 +195,6 @@ EstimationService::EstimationService(ServiceOptions options)
   }
   options_.threads = threads;
   options_.max_queue_depth = std::max(1, options_.max_queue_depth);
-  if (options_.watchdog_multiple > 0) {
-    options_.watchdog_multiple = std::max(1.0, options_.watchdog_multiple);
-    resilience::WatchdogOptions watchdog_options;
-    watchdog_options.counter_name = "service.watchdog_cancels";
-    watchdog_ = std::make_unique<resilience::Watchdog>(watchdog_options);
-  }
   TenantRegistry::Options tenant_options;
   tenant_options.capacity_slots = options_.max_queue_depth;
   tenants_ = std::make_unique<TenantRegistry>(tenant_options);
@@ -577,8 +568,8 @@ Result<WorkflowEstimate> EstimationService::Execute(
   }();
 
   // kCancelled is neutral to the breaker (Record releases the probe slot
-  // without judging the path); the shutdown/watchdog rewrite happens in the
-  // submit closure, after this record, so a shutdown burst cannot open it.
+  // without judging the path); the shutdown rewrite happens in the submit
+  // closure, after this record, so a shutdown burst cannot open it.
   if (breaker != nullptr) breaker->Record(result.status());
   return result;
 }
@@ -612,28 +603,10 @@ resilience::CircuitBreaker* EstimationService::BreakerFor(
   return slot.get();
 }
 
-Status EstimationService::MapCancelCause(const Status& status,
-                                         const CancelToken& caller_cancel,
-                                         obs::RequestRecord* record) {
-  if (status.code() != ErrorCode::kCancelled) return status;
-  if (shutdown_cancel_.cancelled()) {
+Status EstimationService::MapCancelCause(const Status& status) const {
+  if (status.code() == ErrorCode::kCancelled && shutdown_cancel_.cancelled()) {
     return Status::Unavailable(
         "service shut down before completion: retry against a healthy server");
-  }
-  if (!caller_cancel.cancelled()) {
-    // Only the watchdog could have fired the request-scoped token.
-    watchdog_fired_.fetch_add(1, std::memory_order_relaxed);
-    if (record != nullptr) {
-      record->watchdog_fired = true;
-      // Cancelled requests are exactly the ones a post-mortem needs: pin the
-      // fire as a structured event next to the (error-exemplared) record.
-      flight_.AddEvent("watchdog",
-                       std::string(record->workflow) + "@" + record->cluster +
-                           ": hard wall-clock bound exceeded");
-    }
-    return Status::DeadlineExceeded(
-        "cancelled by watchdog: exceeded the hard wall-clock bound (" +
-        std::to_string(options_.watchdog_multiple) + "x deadline)");
   }
   return status;
 }
@@ -695,9 +668,7 @@ void EstimationService::FulfillWaiters(
       // The waiter's own budget first: its cancel/deadline outcome is its
       // own regardless of how the leader fared.
       if (waiter.budget.exhausted()) {
-        return MapCancelCause(waiter.budget.Check("serve " + waiter.workflow),
-                              waiter.caller_cancel,
-                              waiter.observe ? &waiter.record : nullptr);
+        return MapCancelCause(waiter.budget.Check("serve " + waiter.workflow));
       }
       if (leader_result.ok()) {
         WorkflowEstimate copy = leader_result.value();
@@ -711,9 +682,9 @@ void EstimationService::FulfillWaiters(
       const ErrorCode code = leader_result.status().code();
       if (code == ErrorCode::kCancelled ||
           code == ErrorCode::kDeadlineExceeded) {
-        // The leader died of its own budget (or the watchdog) — nothing
-        // about the value itself. The waiter's own run would have carried
-        // on, so resolve it retryable instead of inheriting the cancel.
+        // The leader died of its own budget — nothing about the value
+        // itself. The waiter's own run would have carried on, so resolve it
+        // retryable instead of inheriting the cancel.
         return Status::Unavailable(
                    "coalesced computation for " + waiter.workflow +
                    " was cancelled before completing: retry")
@@ -834,7 +805,6 @@ void EstimationService::SubmitEstimateImpl(
         waiter.budget.cancel =
             CancelToken::LinkedTo({caller_cancel, shutdown_cancel_});
         waiter.budget.deadline = request.budget.deadline;
-        waiter.caller_cancel = caller_cancel;
         waiter.workflow = request.workflow.empty() && request.flow != nullptr
                               ? request.flow->name()
                               : request.workflow;
@@ -854,27 +824,19 @@ void EstimationService::SubmitEstimateImpl(
     }
   }
 
-  // Request-scoped token: what the watchdog fires and the execution polls.
-  // An uncoalesced request observes its caller's cancel and the service-wide
-  // shutdown signal; a coalesce leader computes for the whole group, so it
-  // observes the group-abandon signal (all members cancelled) instead of its
-  // own caller alone. Cancelling the execution token never propagates to
-  // the caller's token, so MapCancelCause can still tell the signals apart.
+  // Request-scoped token, what the execution polls. An uncoalesced request
+  // observes its caller's cancel and the service-wide shutdown signal; a
+  // coalesce leader computes for the whole group, so it observes the
+  // group-abandon signal (all members cancelled) instead of its own caller
+  // alone.
   request.budget.cancel =
       group != nullptr
           ? CancelToken::LinkedTo({group->abandon, shutdown_cancel_})
           : CancelToken::LinkedTo({caller_cancel, shutdown_cancel_});
-  std::uint64_t watch_id = 0;
-  if (watchdog_ != nullptr && !request.budget.deadline.never()) {
-    watch_id = watchdog_->Watch(
-        request.budget.cancel,
-        request.budget.deadline.remaining_seconds() * options_.watchdog_multiple);
-  }
 
   const double submit_us = obs::MonotonicUs();
   pool_->Submit([this, request = std::move(request), done = std::move(done),
-                 submit_us, caller_cancel, watch_id, record, observe, tenant,
-                 group]() mutable {
+                 submit_us, record, observe, tenant, group]() mutable {
     tenants_->OnExecuteStart(tenant);
     const double exec_start_us = obs::MonotonicUs();
     Result<WorkflowEstimate> result =
@@ -882,10 +844,8 @@ void EstimationService::SubmitEstimateImpl(
     // Execution time only (not queue wait): the EMA this feeds prices the
     // tenant's future admissions, and waiting is not the tenant's cost.
     const double exec_ms = (obs::MonotonicUs() - exec_start_us) * 1e-3;
-    if (watch_id != 0) watchdog_->Unwatch(watch_id);
     if (!result.ok()) {
-      result = Result<WorkflowEstimate>(MapCancelCause(
-          result.status(), caller_cancel, observe ? &record : nullptr));
+      result = Result<WorkflowEstimate>(MapCancelCause(result.status()));
     }
     tenants_->OnDone(tenant, result.ok(), exec_ms);
     if (result.ok()) {
@@ -918,34 +878,19 @@ void EstimationService::SubmitEstimateImpl(
   });
 }
 
-std::future<Result<WorkflowEstimate>> EstimationService::SubmitEstimateFuture(
-    ServiceRequest request) {
-  auto promise = std::make_shared<std::promise<Result<WorkflowEstimate>>>();
-  std::future<Result<WorkflowEstimate>> future = promise->get_future();
-  SubmitEstimateImpl(std::move(request),
-                     [promise](Result<WorkflowEstimate> result) {
-                       promise->set_value(std::move(result));
-                     });
-  return future;
-}
-
-std::future<Result<ServiceSweepResult>> EstimationService::SubmitSweepFuture(
-    ServiceSweepRequest request) {
-  auto promise = std::make_shared<std::promise<Result<ServiceSweepResult>>>();
-  std::future<Result<ServiceSweepResult>> future = promise->get_future();
-  SubmitSweepImpl(std::move(request),
-                  [promise](Result<ServiceSweepResult> result) {
-                    promise->set_value(std::move(result));
-                  });
-  return future;
-}
-
 std::future<Result<EstimateResponse>> EstimationService::Submit(
     EstimateRequest request) {
   auto promise = std::make_shared<std::promise<Result<EstimateResponse>>>();
   std::future<Result<EstimateResponse>> future = promise->get_future();
   if (request.is_sweep()) {
-    SubmitSweepImpl(request.ToSweep(),
+    ServiceSweepRequest sweep;
+    sweep.workflow = std::move(request.workflow_);
+    sweep.flow = std::move(request.flow_);
+    sweep.cluster = std::move(request.cluster_);
+    sweep.tenant = std::move(request.tenant_);
+    sweep.nodes_list = std::move(request.nodes_list_);
+    sweep.budget = std::move(request.budget_);
+    SubmitSweepImpl(std::move(sweep),
                     [promise](Result<ServiceSweepResult> result) {
                       if (!result.ok()) {
                         promise->set_value(
@@ -957,7 +902,16 @@ std::future<Result<EstimateResponse>> EstimationService::Submit(
                       promise->set_value(std::move(response));
                     });
   } else {
-    SubmitEstimateImpl(request.ToEstimate(),
+    ServiceRequest estimate;
+    estimate.workflow = std::move(request.workflow_);
+    estimate.flow = std::move(request.flow_);
+    estimate.cluster = std::move(request.cluster_);
+    estimate.tenant = std::move(request.tenant_);
+    estimate.nodes = request.nodes_;
+    estimate.budget = std::move(request.budget_);
+    estimate.explain = request.explain_;
+    estimate.coalesce = request.coalesce_;
+    SubmitEstimateImpl(std::move(estimate),
                        [promise](Result<WorkflowEstimate> result) {
                          if (!result.ok()) {
                            promise->set_value(
@@ -978,21 +932,6 @@ EstimationService::SubmitBatch(std::vector<EstimateRequest> requests) {
   futures.reserve(requests.size());
   for (EstimateRequest& request : requests) {
     futures.push_back(Submit(std::move(request)));
-  }
-  return futures;
-}
-
-std::future<Result<WorkflowEstimate>> EstimationService::Submit(
-    ServiceRequest request) {
-  return SubmitEstimateFuture(std::move(request));
-}
-
-std::vector<std::future<Result<WorkflowEstimate>>> EstimationService::SubmitBatch(
-    std::vector<ServiceRequest> requests) {
-  std::vector<std::future<Result<WorkflowEstimate>>> futures;
-  futures.reserve(requests.size());
-  for (ServiceRequest& request : requests) {
-    futures.push_back(SubmitEstimateFuture(std::move(request)));
   }
   return futures;
 }
@@ -1043,8 +982,7 @@ void EstimationService::SubmitSweepImpl(
   }
   record.had_deadline = !request.budget.deadline.never();
   // Sweeps observe shutdown too (cancelled candidates surface per-candidate
-  // inside the sweep result); no watchdog — a sweep is many estimates, each
-  // already bounded by the shared budget.
+  // inside the sweep result).
   request.budget.cancel =
       CancelToken::LinkedTo({request.budget.cancel, shutdown_cancel_});
 
@@ -1093,10 +1031,6 @@ void EstimationService::SubmitSweepImpl(
       ReleaseSlot();
       done(std::move(result));
     };
-    if (request.nodes_list.empty()) {
-      finish(Status::InvalidArgument("sweep has an empty nodes list"));
-      return;
-    }
     std::string workflow_name;
     Result<std::shared_ptr<const DagWorkflow>> flow =
         ResolveFlow(request.workflow, request.flow, &workflow_name);
@@ -1129,10 +1063,6 @@ void EstimationService::SubmitSweepImpl(
     sweep_options.pool = pool_.get();
     sweep_options.budget = request.budget;
     sweep_options.estimator = options_.estimator;
-    // Straggler hedging: the request's own options when it set them, else
-    // the service-wide default (off unless the operator opted in).
-    sweep_options.hedge =
-        request.hedge.enabled ? request.hedge : options_.hedge;
     ServiceSweepResult result;
     result.sweep =
         EstimateBatch(candidates, options_.scheduler, *entry.source, sweep_options);
@@ -1144,11 +1074,6 @@ void EstimationService::SubmitSweepImpl(
     Metrics().cache_hit_rate.Set(cache.hit_rate());
     finish(std::move(result));
   });
-}
-
-std::future<Result<ServiceSweepResult>> EstimationService::SubmitSweep(
-    ServiceSweepRequest request) {
-  return SubmitSweepFuture(std::move(request));
 }
 
 void EstimationService::ResetWarmState() {
@@ -1321,7 +1246,6 @@ ServiceStats EstimationService::Stats() const {
   stats.failed = failed_.load(std::memory_order_relaxed);
   stats.shed = shed_.load(std::memory_order_relaxed);
   stats.expired_in_queue = expired_in_queue_.load(std::memory_order_relaxed);
-  stats.watchdog_fired = watchdog_fired_.load(std::memory_order_relaxed);
   stats.stats_epoch = stats_epoch_.load(std::memory_order_relaxed);
   stats.coalesce_leaders = coalesce_leaders_.load(std::memory_order_relaxed);
   stats.coalesce_attached = coalesce_attached_.load(std::memory_order_relaxed);

@@ -28,7 +28,6 @@
 #include "obs/slo.h"
 #include "resilience/circuit_breaker.h"
 #include "resilience/overload.h"
-#include "resilience/watchdog.h"
 #include "scheduler/drf.h"
 #include "service/request.h"
 #include "service/tenancy.h"
@@ -66,13 +65,6 @@ struct ServiceOptions {
   EstimatorOptions estimator;
 
   SchedulerConfig scheduler;
-
-  /// Watchdog backstop: a request still running after `watchdog_multiple x
-  /// its deadline` has its token fired and fails with DEADLINE_EXCEEDED —
-  /// the hard bound for work stuck somewhere that is not polling its budget.
-  /// 0 disables; requests with no deadline are never watched. Must be >= 1
-  /// when set (the cooperative check should always win first).
-  double watchdog_multiple = 0.0;
 
   /// Consecutive failures (INTERNAL / DEADLINE_EXCEEDED / UNAVAILABLE) that
   /// open a per-cluster circuit breaker; while open, requests against that
@@ -136,18 +128,13 @@ struct ServiceOptions {
   /// per-waiter: a cancelled/expired leader resolves live waiters with
   /// retryable UNAVAILABLE, deterministic errors propagate as-is, and a
   /// waiter whose own budget fired gets its own status. Disabled here it is
-  /// off for every request; per-request opt-out via ServiceRequest::coalesce.
+  /// off for every request; per-request opt-out via
+  /// EstimateRequest::WithoutCoalescing.
   bool coalescing = true;
-
-  /// Service-wide default for sweep straggler hedging (SweepHedgeOptions);
-  /// applied to every sweep that does not carry its own hedge options. Off
-  /// by default — hedging spends duplicate work for tail latency.
-  SweepHedgeOptions hedge;
 };
 
-/// Request/response types (ServiceRequest, WorkflowEstimate,
-/// ServiceSweepRequest, ServiceSweepResult) and the 0.8 unified
-/// EstimateRequest builder + EstimateResponse union live in
+/// Request/response types (the EstimateRequest builder, WorkflowEstimate,
+/// ServiceSweepResult, the EstimateResponse union) live in
 /// service/request.h, included above.
 
 /// Monotonic service counters plus the memo cache's cumulative behaviour.
@@ -159,8 +146,6 @@ struct ServiceStats {
   std::uint64_t shed = 0;
   /// Requests whose budget expired while they sat in the queue.
   std::uint64_t expired_in_queue = 0;
-  /// Requests the watchdog had to cancel (hard wall-clock bound).
-  std::uint64_t watchdog_fired = 0;
   /// How many times the warm state (memo + checkpoints) was reset — rates
   /// computed from the cache stats below never span a reset: both are read
   /// inside the same epoch. Drain/Shutdown bump this once.
@@ -223,13 +208,15 @@ class EstimationService {
 
   std::vector<std::string> WorkflowNames() const;
 
-  /// The 0.8 unified entry point: submits one EstimateRequest — a single
-  /// estimate or, when the request carries a SweepNodes list, a sweep — and
-  /// resolves to the matching half of EstimateResponse. Never blocks on
-  /// estimation: the returned future is either already failed (shed /
-  /// draining / unresolvable name) or will be fulfilled by a worker. Safe
-  /// from any thread. Identical concurrent single-estimate requests are
-  /// coalesced onto one computation (ServiceOptions::coalescing).
+  /// The entry point: submits one EstimateRequest — a single estimate or,
+  /// when the request carries a SweepNodes list, a sweep — and resolves to
+  /// the matching half of EstimateResponse. Never blocks on estimation: the
+  /// returned future is either already failed (shed / draining /
+  /// unresolvable name) or will be fulfilled by a worker. Safe from any
+  /// thread. Identical concurrent single-estimate requests are coalesced
+  /// onto one computation (ServiceOptions::coalescing). A sweep counts as
+  /// one admission-queue slot; its candidates fan out across the same pool
+  /// and share the persistent memo.
   std::future<Result<EstimateResponse>> Submit(EstimateRequest request);
 
   /// Batch convenience over the unified entry point: one future per
@@ -237,23 +224,6 @@ class EstimationService {
   /// whole batch).
   std::vector<std::future<Result<EstimateResponse>>> SubmitBatch(
       std::vector<EstimateRequest> requests);
-
-  /// Pre-0.8 shim: equivalent to
-  /// Submit(EstimateRequest) with the same fields; will be removed in 0.9.
-  [[deprecated("use Submit(EstimateRequest) — the 0.8 unified submission API")]]
-  std::future<Result<WorkflowEstimate>> Submit(ServiceRequest request);
-
-  /// Pre-0.8 shim over the unified batch path; will be removed in 0.9.
-  [[deprecated("use SubmitBatch(std::vector<EstimateRequest>)")]]
-  std::vector<std::future<Result<WorkflowEstimate>>> SubmitBatch(
-      std::vector<ServiceRequest> requests);
-
-  /// Pre-0.8 shim: equivalent to Submit(EstimateRequest::For(...)
-  /// .SweepNodes(...)); will be removed in 0.9. A sweep counts as one
-  /// admission-queue slot; candidates fan out across the same pool and
-  /// share the persistent memo.
-  [[deprecated("use Submit(EstimateRequest) with SweepNodes")]]
-  std::future<Result<ServiceSweepResult>> SubmitSweep(ServiceSweepRequest request);
 
   /// Graceful shutdown: stops admitting (subsequent Submits fail with
   /// FailedPrecondition), waits for every queued and in-flight request to
@@ -294,7 +264,7 @@ class EstimationService {
   /// cluster under the same name can never resume from stale state.
   PrefixCheckpointStore& checkpoints() { return checkpoints_; }
 
-  /// The last-N-requests ring + pinned exemplars + breaker/watchdog events.
+  /// The last-N-requests ring + pinned exemplars + breaker/overload events.
   /// Dump it via obs::FlightRecorder::ToJson (the protocol's
   /// {"op":"flightrecorder"} verb and `serve --flight-out` do).
   const obs::FlightRecorder& flight_recorder() const { return flight_; }
@@ -344,21 +314,39 @@ class EstimationService {
   struct ClusterEntry;
   struct CoalesceGroup;
 
-  /// Completion-callback forms of the two execution paths; every public
-  /// Submit flavour (unified, shims, batch) is a thin adapter over these.
-  /// `done` is invoked exactly once — synchronously for rejected requests,
-  /// from a worker (or a coalesced leader's worker) otherwise.
+  /// The lowered forms the two execution paths run; Submit splits an
+  /// EstimateRequest into one of them. Exactly one of `workflow` (a
+  /// registered name) or `flow` (a caller-supplied workflow) is set; empty
+  /// `cluster` selects "default", empty `tenant` selects "default". The
+  /// budget is merged with the service's default deadline and polled at
+  /// admission, at dequeue, and per estimator state.
+  struct ServiceRequest {
+    std::string workflow;
+    std::shared_ptr<const DagWorkflow> flow;
+    std::string cluster;
+    std::string tenant;
+    /// When > 0, overrides the cluster's node count for this request only.
+    int nodes = 0;
+    Budget budget;
+    bool explain = false;
+    bool coalesce = true;
+  };
+  struct ServiceSweepRequest {
+    std::string workflow;
+    std::shared_ptr<const DagWorkflow> flow;
+    std::string cluster;
+    std::string tenant;
+    std::vector<int> nodes_list;
+    Budget budget;
+  };
+
+  /// Completion-callback forms of the two execution paths. `done` is
+  /// invoked exactly once — synchronously for rejected requests, from a
+  /// worker (or a coalesced leader's worker) otherwise.
   void SubmitEstimateImpl(ServiceRequest request,
                           std::function<void(Result<WorkflowEstimate>)> done);
   void SubmitSweepImpl(ServiceSweepRequest request,
                        std::function<void(Result<ServiceSweepResult>)> done);
-
-  /// Future adapters over the impls (what the deprecated shims and
-  /// SubmitBatch call, so no internal caller touches a deprecated symbol).
-  std::future<Result<WorkflowEstimate>> SubmitEstimateFuture(
-      ServiceRequest request);
-  std::future<Result<ServiceSweepResult>> SubmitSweepFuture(
-      ServiceSweepRequest request);
 
   /// Resolves the request's workflow/cluster under the registry lock.
   Result<std::shared_ptr<const DagWorkflow>> ResolveFlow(
@@ -423,11 +411,8 @@ class EstimationService {
   resilience::CircuitBreaker* BreakerFor(const std::string& cluster);
 
   /// Rewrites a kCancelled result by cause: shutdown-token fired ->
-  /// UNAVAILABLE{retryable}; watchdog fired (caller's token untouched) ->
-  /// DEADLINE_EXCEEDED; a genuine caller cancel stays kCancelled. A watchdog
-  /// fire is flagged on `record` (when armed) and logged as a flight event.
-  Status MapCancelCause(const Status& status, const CancelToken& caller_cancel,
-                        obs::RequestRecord* record);
+  /// UNAVAILABLE{retryable}; a caller cancel stays kCancelled.
+  Status MapCancelCause(const Status& status) const;
 
   ServiceOptions options_;
   std::unique_ptr<ThreadPool> pool_;
@@ -469,10 +454,6 @@ class EstimationService {
   /// signal.
   CancelToken shutdown_cancel_ = CancelToken::Cancellable();
 
-  /// Hard wall-clock backstop (created in the ctor when watchdog_multiple
-  /// > 0); fires request tokens, never joins threads.
-  std::unique_ptr<resilience::Watchdog> watchdog_;
-
   mutable std::mutex breakers_mutex_;
   std::map<std::string, std::unique_ptr<resilience::CircuitBreaker>> breakers_;
 
@@ -492,7 +473,6 @@ class EstimationService {
   std::atomic<std::uint64_t> failed_{0};
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> expired_in_queue_{0};
-  std::atomic<std::uint64_t> watchdog_fired_{0};
   std::atomic<std::uint64_t> coalesce_leaders_{0};
   std::atomic<std::uint64_t> coalesce_attached_{0};
 };

@@ -18,7 +18,7 @@ namespace {
 constexpr double kContainerOverheadS = 1.0;
 
 /// Rebuilds a workflow from its compiled job specs with extra edges.
-Result<DagWorkflow> RebuildWithEdges(
+Result<DagWorkflow> RebuildWithExtraEdges(
     const DagWorkflow& flow, const std::vector<std::pair<JobId, JobId>>& extra) {
   DagBuilder builder(flow.name() + "-variant");
   for (const auto& job : flow.jobs()) builder.AddJob(job.spec);
@@ -131,7 +131,7 @@ Result<BranchDecision> DecideBranchPolicy(const DagWorkflow& flow,
   for (size_t i = 0; i + 1 < sources.size(); ++i) {
     chain.emplace_back(sources[i], sources[i + 1]);
   }
-  Result<DagWorkflow> serial_flow = RebuildWithEdges(flow, chain);
+  Result<DagWorkflow> serial_flow = RebuildWithExtraEdges(flow, chain);
   if (!serial_flow.ok()) return serial_flow.status();
 
   Result<std::vector<Duration>> times =

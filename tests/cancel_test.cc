@@ -53,7 +53,7 @@ TEST(CancelToken, LinkedTokenObservesParentsWithoutPropagatingUp) {
   EXPECT_TRUE(linked.can_cancel());
   EXPECT_FALSE(linked.cancelled());
 
-  // Cancelling the child (the watchdog path) fires only the child.
+  // Cancelling the child fires only the child.
   linked.Cancel();
   EXPECT_TRUE(linked.cancelled());
   EXPECT_FALSE(caller.cancelled());

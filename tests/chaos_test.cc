@@ -28,19 +28,11 @@
 #include <gtest/gtest.h>
 
 #include "common/json.h"
-#include "common/parallel.h"
-#include "model/sweep.h"
 #include "resilience/fault.h"
 #include "service/line_client.h"
 #include "service/server.h"
 #include "service/service.h"
-#include "workloads/micro.h"
 #include "workloads/suite.h"
-
-// Parts of this file exercise the pre-0.8 submission API on purpose
-// (deprecated shims must keep working until removal); silence the
-// migration warnings the rest of the build is expected to emit.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 namespace dagperf {
 namespace {
@@ -184,9 +176,9 @@ TEST(ChaosTest, SameSeedSameFailureSchedule) {
     EXPECT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
     std::vector<int> failed;
     for (int i = 0; i < 40; ++i) {
-      ServiceRequest request;
-      request.workflow = "q6";
-      if (!service.Submit(std::move(request)).get().ok()) failed.push_back(i);
+      if (!service.Submit(EstimateRequest::For("q6")).get().ok()) {
+        failed.push_back(i);
+      }
     }
     FaultInjector::Default().Disarm();
     return failed;
@@ -578,89 +570,6 @@ TEST(ChaosTest, ShutdownUnderLoadAnswersEveryInflightRequest) {
   EXPECT_GT(unavailable.load(), 0);
   EXPECT_LE(unavailable.load(), summary->shutdown.cancelled);
   EXPECT_EQ(service.Stats().queue_depth, 0);
-}
-
-TEST(ChaosTest, HedgedSweepRacesStayBitIdenticalUnderTaskTimeFaults) {
-  InjectorReset guard;
-  FaultInjector& injector = FaultInjector::Default();
-
-  const ClusterSpec cluster = ClusterSpec::PaperCluster();
-  Result<std::vector<DagWorkflow>> flows = BuildReducerCandidates(
-      WordCountSpec(Bytes::FromGB(20)), {8, 16, 24, 32, 48, 64, 96, 128});
-  ASSERT_TRUE(flows.ok());
-  std::vector<SweepCandidate> candidates;
-  for (const DagWorkflow& flow : *flows) {
-    candidates.push_back({&flow, cluster, flow.name()});
-  }
-  const BoeModel boe(cluster.node);
-  const BoeTaskTimeSource source(boe, Duration::Seconds(1));
-  const SchedulerConfig scheduler;
-
-  // Golden bits: serial, unhedged, nothing armed.
-  SweepOptions serial;
-  serial.threads = 1;
-  const SweepResult golden = EstimateBatch(candidates, scheduler, source, serial);
-  for (const Result<DagEstimate>& estimate : golden.estimates) {
-    ASSERT_TRUE(estimate.ok()) << estimate.status().ToString();
-  }
-
-  // An explicit pool keeps the batch on the pooled (hedge-armed) path even
-  // on a one-core machine, where a `threads` count would be clamped to the
-  // hardware and degrade to the serial loop.
-  ThreadPool pool(4);
-
-  // Warm the process-wide latency window so the hedge delay is computable.
-  SweepOptions warm;
-  warm.pool = &pool;
-  EstimateBatch(candidates, scheduler, source, warm);
-
-  // Latency-only straggler injection on the memo-miss compute path: a fired
-  // query stalls its candidate past the hedge delay, so primaries and
-  // hedges genuinely race — on the same memo, under TSan in CI.
-  ASSERT_TRUE(injector
-                  .Configure("model.task_time",
-                             {.probability = 0.05, .latency_ms = 2.0})
-                  .ok());
-  const std::uint64_t seed = ChaosSeed();
-  injector.Arm(seed);
-
-  SweepOptions hedged;
-  hedged.pool = &pool;
-  hedged.hedge.enabled = true;
-  hedged.hedge.min_samples = 1;
-  hedged.hedge.quantile = 0.5;
-  hedged.hedge.min_delay_ms = 0.05;
-  hedged.hedge.max_delay_ms = 0.5;
-  const SweepResult raced = EstimateBatch(candidates, scheduler, source, hedged);
-  injector.Disarm();
-
-  // Seed-independent invariants: whichever side of each race settled first,
-  // the published result carries the bits of the serial run (deterministic
-  // source + bit-exact memo), every candidate resolves exactly once, and
-  // the hedge ledger balances — a launched hedge either won the race, ran
-  // and lost (wasted), or skipped itself before starting. EstimateBatch
-  // returning at all is the no-leak assertion: it quiesces outstanding
-  // hedges before computing stats.
-  ASSERT_EQ(raced.estimates.size(), golden.estimates.size());
-  for (size_t i = 0; i < raced.estimates.size(); ++i) {
-    ASSERT_TRUE(raced.estimates[i].ok())
-        << "seed " << seed << ": " << raced.estimates[i].status().ToString();
-    const DagEstimate& a = *raced.estimates[i];
-    const DagEstimate& b = *golden.estimates[i];
-    EXPECT_EQ(a.makespan.seconds(), b.makespan.seconds()) << "seed " << seed;
-    ASSERT_EQ(a.states.size(), b.states.size()) << "seed " << seed;
-    for (size_t s = 0; s < a.states.size(); ++s) {
-      EXPECT_EQ(a.states[s].start, b.states[s].start);
-      EXPECT_EQ(a.states[s].duration, b.states[s].duration);
-    }
-  }
-  EXPECT_EQ(raced.stats.completed, static_cast<int>(candidates.size()));
-  EXPECT_LE(raced.stats.hedges_won + raced.stats.hedges_wasted,
-            raced.stats.hedges_launched)
-      << "seed " << seed;
-  for (const double latency_ms : raced.candidate_latency_ms) {
-    EXPECT_GE(latency_ms, 0.0) << "seed " << seed;
-  }
 }
 
 }  // namespace

@@ -290,7 +290,7 @@ TEST(FleetTest, RoutesStickilyAndAggregatesStats) {
   const Json* owner_stats = owner_entry->Get("stats");
   ASSERT_NE(owner_stats, nullptr);
   EXPECT_EQ(owner_stats->GetNumber("submitted", -1), 6);
-  for (const std::string other : {std::string("shard-0"),
+  for (const std::string& other : {std::string("shard-0"),
                                   std::string("shard-1")}) {
     if (other == owner) continue;
     const Json* entry = ShardEntry(stats.value(), other);

@@ -122,11 +122,11 @@ TEST(FlightRecorderTest, EventRingKeepsLastN) {
   options.event_capacity = 2;
   obs::FlightRecorder recorder(options);
   recorder.AddEvent("breaker", "default: closed -> open");
-  recorder.AddEvent("watchdog", "TS-Q6@default: wall-clock bound exceeded");
+  recorder.AddEvent("overload", "brownout level 0 -> 1");
   recorder.AddEvent("drain", "pool quiesced");
   const obs::FlightRecorder::Dump dump = recorder.Snapshot();
   ASSERT_EQ(dump.events.size(), 2u);
-  EXPECT_STREQ(dump.events.front().kind, "watchdog");
+  EXPECT_STREQ(dump.events.front().kind, "overload");
   EXPECT_STREQ(dump.events.back().kind, "drain");
 }
 

@@ -1,7 +1,7 @@
 // Tests of the resilience layer (src/resilience/): deterministic fault
 // injection (same seed => same fire pattern), retry with jittered backoff,
-// circuit-breaker state transitions, the request watchdog, and their
-// integration into the estimation service (watchdog cancellation mapped to
+// circuit-breaker state transitions, and their integration into the
+// estimation service (a parked request's deadline surfacing as
 // DEADLINE_EXCEEDED, bounded shutdown mapped to UNAVAILABLE, per-cluster
 // breakers fast-failing while open).
 
@@ -21,14 +21,9 @@
 #include "resilience/circuit_breaker.h"
 #include "resilience/fault.h"
 #include "resilience/retry.h"
-#include "resilience/watchdog.h"
 #include "service/service.h"
+#include "service_testing.h"
 #include "workloads/suite.h"
-
-// Parts of this file exercise the pre-0.8 submission API on purpose
-// (deprecated shims must keep working until removal); silence the
-// migration warnings the rest of the build is expected to emit.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 namespace dagperf {
 namespace {
@@ -41,8 +36,6 @@ using resilience::FaultPlan;
 using resilience::FaultPoint;
 using resilience::RetryOptions;
 using resilience::RetryPolicy;
-using resilience::Watchdog;
-using resilience::WatchdogOptions;
 
 /// Every test that touches the (process-global) injector goes through this
 /// guard so a failing assertion cannot leak an armed schedule into the next
@@ -323,7 +316,10 @@ TEST(RetryPolicy, RetriesCounterTicksWhenMetricsEnabled) {
 }
 
 TEST(CircuitBreaker, OpensAfterConsecutiveFailuresAndRejectsRetryably) {
-  CircuitBreaker breaker({.failure_threshold = 3, .open_seconds = 60.0});
+  CircuitBreakerOptions options;
+  options.failure_threshold = 3;
+  options.open_seconds = 60.0;
+  CircuitBreaker breaker(options);
   for (int i = 0; i < 3; ++i) {
     EXPECT_TRUE(breaker.Allow().ok());
     breaker.RecordFailure();
@@ -337,7 +333,9 @@ TEST(CircuitBreaker, OpensAfterConsecutiveFailuresAndRejectsRetryably) {
 }
 
 TEST(CircuitBreaker, SuccessResetsTheConsecutiveCount) {
-  CircuitBreaker breaker({.failure_threshold = 2});
+  CircuitBreakerOptions options;
+  options.failure_threshold = 2;
+  CircuitBreaker breaker(options);
   breaker.Allow().ok();
   breaker.RecordFailure();
   breaker.Allow().ok();
@@ -379,7 +377,10 @@ TEST(CircuitBreaker, HalfOpenProbeClosesOrReopens) {
 }
 
 TEST(CircuitBreaker, NeutralOutcomesReleaseProbesWithoutJudging) {
-  CircuitBreaker breaker({.failure_threshold = 1, .open_seconds = 0.02});
+  CircuitBreakerOptions options;
+  options.failure_threshold = 1;
+  options.open_seconds = 0.02;
+  CircuitBreaker breaker(options);
   ASSERT_TRUE(breaker.Allow().ok());
   breaker.RecordFailure();
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
@@ -402,7 +403,9 @@ TEST(CircuitBreaker, CountsOnlyServingPathFailures) {
 }
 
 TEST(CircuitBreaker, DisabledBreakerIsTransparent) {
-  CircuitBreaker breaker({.failure_threshold = 0});
+  CircuitBreakerOptions options;
+  options.failure_threshold = 0;
+  CircuitBreaker breaker(options);
   for (int i = 0; i < 100; ++i) {
     EXPECT_TRUE(breaker.Allow().ok());
     breaker.RecordFailure();
@@ -412,9 +415,11 @@ TEST(CircuitBreaker, DisabledBreakerIsTransparent) {
 
 TEST(CircuitBreaker, GaugeMirrorsState) {
   obs::SetMetricsEnabled(true);
-  CircuitBreaker breaker({.failure_threshold = 1,
-                          .open_seconds = 60.0,
-                          .gauge_name = "test.breaker_state"});
+  CircuitBreakerOptions options;
+  options.failure_threshold = 1;
+  options.open_seconds = 60.0;
+  options.gauge_name = "test.breaker_state";
+  CircuitBreaker breaker(options);
   obs::Gauge& gauge =
       obs::MetricsRegistry::Default().GetGauge("test.breaker_state");
   EXPECT_EQ(gauge.value(), 0.0);
@@ -422,33 +427,6 @@ TEST(CircuitBreaker, GaugeMirrorsState) {
   breaker.RecordFailure();
   EXPECT_EQ(gauge.value(), 1.0);
   obs::SetMetricsEnabled(false);
-}
-
-TEST(Watchdog, FiresOverdueTokensAndSkipsCompletedOnes) {
-  Watchdog watchdog({.poll_interval_ms = 5.0});
-  const CancelToken overdue = CancelToken::Cancellable();
-  const CancelToken completed = CancelToken::Cancellable();
-  (void)watchdog.Watch(overdue, 0.01);
-  const std::uint64_t done_id = watchdog.Watch(completed, 0.01);
-  watchdog.Unwatch(done_id);  // The request finished in time.
-
-  for (int i = 0; i < 200 && !overdue.cancelled(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_TRUE(overdue.cancelled());
-  EXPECT_FALSE(completed.cancelled());
-  EXPECT_EQ(watchdog.stats().watched, 2u);
-  EXPECT_EQ(watchdog.stats().fired, 1u);
-  EXPECT_EQ(watchdog.pending(), 0u);
-}
-
-TEST(Watchdog, DestructionWithPendingWatchesIsClean) {
-  const CancelToken token = CancelToken::Cancellable();
-  {
-    Watchdog watchdog;
-    watchdog.Watch(token, 3600.0);
-  }
-  EXPECT_FALSE(token.cancelled());
 }
 
 // ---------------------------------------------------------------------------
@@ -461,7 +439,7 @@ DagWorkflow TestFlow() {
 }
 
 /// A task-time source whose queries block until Open() — parks service
-/// workers mid-estimate so shutdown/watchdog behaviour can be observed with
+/// workers mid-estimate so shutdown/deadline behaviour can be observed with
 /// requests genuinely in flight.
 class GateSource : public TaskTimeSource {
  public:
@@ -494,33 +472,27 @@ class GateSource : public TaskTimeSource {
   mutable int entered_ = 0;
 };
 
-TEST(ServiceResilience, WatchdogCancellationSurfacesAsDeadlineExceeded) {
+TEST(ServiceResilience, ParkedRequestPastDeadlineSurfacesAsDeadlineExceeded) {
   ServiceOptions options;
   options.threads = 1;
-  options.watchdog_multiple = 1.0;
   EstimationService service(options);
   ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
   GateSource gate;
   ASSERT_TRUE(service.RegisterSource("default", &gate, "gate").ok());
 
-  ServiceRequest request;
-  request.workflow = "q6";
-  request.budget = Budget::Within(0.05);
-  std::future<Result<WorkflowEstimate>> future =
-      service.Submit(std::move(request));
+  std::future<Result<EstimateResponse>> future =
+      service.Submit(EstimateRequest::For("q6").WithDeadline(0.05));
   gate.WaitUntilEntered(1);
 
-  // Hold the worker hostage well past watchdog_multiple x deadline, then
-  // release it: the estimator's next budget poll sees the fired token.
+  // Hold the worker well past the request's deadline, then release it: the
+  // estimator's next budget poll sees the deadline and unwinds.
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
   gate.Open();
 
-  Result<WorkflowEstimate> result = future.get();
+  Result<EstimateResponse> result = future.get();
   ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), ErrorCode::kDeadlineExceeded);
-  EXPECT_NE(result.status().message().find("watchdog"), std::string::npos)
+  EXPECT_EQ(result.status().code(), ErrorCode::kDeadlineExceeded)
       << result.status().ToString();
-  EXPECT_EQ(service.Stats().watchdog_fired, 1u);
 }
 
 TEST(ServiceResilience, ShutdownUnderLoadAnswersEveryRequestRetryably) {
@@ -531,15 +503,13 @@ TEST(ServiceResilience, ShutdownUnderLoadAnswersEveryRequestRetryably) {
   GateSource gate;
   ASSERT_TRUE(service.RegisterSource("default", &gate, "gate").ok());
 
-  std::vector<std::future<Result<WorkflowEstimate>>> futures;
+  std::vector<std::future<Result<EstimateResponse>>> futures;
   for (int i = 0; i < 8; ++i) {
-    ServiceRequest request;
-    request.workflow = "q6";
     // The eight requests are value-identical; since 0.8 they would coalesce
     // onto one leader and only one worker would ever enter the gate. This
     // test needs eight independent in-flight computations to park.
-    request.coalesce = false;
-    futures.push_back(service.Submit(std::move(request)));
+    futures.push_back(
+        service.Submit(EstimateRequest::For("q6").WithoutCoalescing()));
   }
   gate.WaitUntilEntered(4);  // All workers parked, 4 more requests queued.
 
@@ -558,19 +528,17 @@ TEST(ServiceResilience, ShutdownUnderLoadAnswersEveryRequestRetryably) {
 
   // Hard guarantee: every future resolves, and every cancelled request is
   // answered with the retryable UNAVAILABLE, never a silent drop.
-  for (std::future<Result<WorkflowEstimate>>& future : futures) {
+  for (std::future<Result<EstimateResponse>>& future : futures) {
     ASSERT_EQ(future.wait_for(std::chrono::seconds(10)),
               std::future_status::ready);
-    Result<WorkflowEstimate> result = future.get();
+    Result<EstimateResponse> result = future.get();
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), ErrorCode::kUnavailable);
     EXPECT_TRUE(IsRetryable(result.status().code()));
   }
 
   // Admission is closed for good after shutdown.
-  ServiceRequest late;
-  late.workflow = "q6";
-  Result<WorkflowEstimate> rejected = service.Submit(std::move(late)).get();
+  Result<WorkflowEstimate> rejected = ServeEstimate(service, EstimateRequest::For("q6"));
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), ErrorCode::kFailedPrecondition);
 }
@@ -599,18 +567,14 @@ TEST(ServiceResilience, BreakerOpensOnInjectedFailuresAndFastFails) {
                   .ok());
   injector.Arm(11);
   for (int i = 0; i < 2; ++i) {
-    ServiceRequest request;
-    request.workflow = "q6";
-    Result<WorkflowEstimate> result = service.Submit(std::move(request)).get();
+    Result<WorkflowEstimate> result = ServeEstimate(service, EstimateRequest::For("q6"));
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), ErrorCode::kInternal);
   }
   injector.Disarm();
 
   // The breaker is open: the healthy path is not even tried.
-  ServiceRequest request;
-  request.workflow = "q6";
-  Result<WorkflowEstimate> rejected = service.Submit(std::move(request)).get();
+  Result<WorkflowEstimate> rejected = ServeEstimate(service, EstimateRequest::For("q6"));
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), ErrorCode::kUnavailable);
   EXPECT_TRUE(IsRetryable(rejected.status().code()));
@@ -625,16 +589,13 @@ TEST(ServiceResilience, ClientErrorsNeverOpenTheBreaker) {
   ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
 
   for (int i = 0; i < 10; ++i) {
-    ServiceRequest request;
-    request.workflow = "missing";
-    Result<WorkflowEstimate> result = service.Submit(std::move(request)).get();
+    Result<WorkflowEstimate> result =
+        ServeEstimate(service, EstimateRequest::For("missing"));
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), ErrorCode::kNotFound);
   }
   // A good request still flows: NOT_FOUND never tripped the breaker.
-  ServiceRequest good;
-  good.workflow = "q6";
-  EXPECT_TRUE(service.Submit(std::move(good)).get().ok());
+  EXPECT_TRUE(service.Submit(EstimateRequest::For("q6")).get().ok());
 }
 
 TEST(ServiceResilience, InjectedAdmitFaultShedsWithoutLeakingSlots) {
@@ -654,9 +615,7 @@ TEST(ServiceResilience, InjectedAdmitFaultShedsWithoutLeakingSlots) {
   injector.Arm(3);
   int rejected = 0;
   for (int i = 0; i < 3; ++i) {
-    ServiceRequest request;
-    request.workflow = "q6";
-    Result<WorkflowEstimate> result = service.Submit(std::move(request)).get();
+    Result<WorkflowEstimate> result = ServeEstimate(service, EstimateRequest::For("q6"));
     if (!result.ok() &&
         result.status().code() == ErrorCode::kResourceExhausted) {
       ++rejected;
@@ -666,9 +625,7 @@ TEST(ServiceResilience, InjectedAdmitFaultShedsWithoutLeakingSlots) {
   EXPECT_EQ(rejected, 3);
   // Slots were backed out: the queue is empty and a real request succeeds.
   EXPECT_EQ(service.Stats().queue_depth, 0);
-  ServiceRequest good;
-  good.workflow = "q6";
-  EXPECT_TRUE(service.Submit(std::move(good)).get().ok());
+  EXPECT_TRUE(service.Submit(EstimateRequest::For("q6")).get().ok());
 }
 
 }  // namespace

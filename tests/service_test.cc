@@ -17,13 +17,9 @@
 #include "obs/metrics.h"
 #include "service/protocol.h"
 #include "service/server.h"
+#include "service_testing.h"
 #include "workloads/suite.h"
 #include "workloads/web_analytics.h"
-
-// Parts of this file exercise the pre-0.8 submission API on purpose
-// (deprecated shims must keep working until removal); silence the
-// migration warnings the rest of the build is expected to emit.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 namespace dagperf {
 namespace {
@@ -72,9 +68,7 @@ TEST(ServiceTest, EstimatesRegisteredWorkflow) {
   EstimationService service;
   ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
 
-  ServiceRequest request;
-  request.workflow = "q6";
-  Result<WorkflowEstimate> served = service.Submit(std::move(request)).get();
+  Result<WorkflowEstimate> served = ServeEstimate(service, EstimateRequest::For("q6"));
   ASSERT_TRUE(served.ok()) << served.status().ToString();
   EXPECT_GT(served.value().estimate.makespan.seconds(), 0.0);
   EXPECT_EQ(served.value().workflow, "q6");
@@ -90,10 +84,8 @@ TEST(ServiceTest, EstimatesRegisteredWorkflow) {
 TEST(ServiceTest, ExplainFillsCriticalPath) {
   EstimationService service;
   ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
-  ServiceRequest request;
-  request.workflow = "q6";
-  request.explain = true;
-  Result<WorkflowEstimate> served = service.Submit(std::move(request)).get();
+  Result<WorkflowEstimate> served =
+      ServeEstimate(service, EstimateRequest::For("q6").WithExplain());
   ASSERT_TRUE(served.ok());
   ASSERT_FALSE(served.value().critical_path.empty());
   // Critical-path segments partition the timeline: durations sum to the
@@ -107,22 +99,18 @@ TEST(ServiceTest, ExplainFillsCriticalPath) {
 
 TEST(ServiceTest, UnknownNamesFailFast) {
   EstimationService service;
-  ServiceRequest request;
-  request.workflow = "no-such-flow";
-  Result<WorkflowEstimate> served = service.Submit(std::move(request)).get();
+  Result<WorkflowEstimate> served =
+      ServeEstimate(service, EstimateRequest::For("no-such-flow"));
   ASSERT_FALSE(served.ok());
   EXPECT_EQ(served.status().code(), ErrorCode::kNotFound);
 
-  ServiceRequest no_flow;
-  Result<WorkflowEstimate> empty = service.Submit(std::move(no_flow)).get();
+  Result<WorkflowEstimate> empty = ServeEstimate(service, EstimateRequest());
   ASSERT_FALSE(empty.ok());
   EXPECT_EQ(empty.status().code(), ErrorCode::kInvalidArgument);
 
-  ServiceRequest bad_cluster;
-  bad_cluster.workflow = "no-such-flow";
-  bad_cluster.cluster = "no-such-cluster";
   Result<WorkflowEstimate> cluster =
-      service.Submit(std::move(bad_cluster)).get();
+      ServeEstimate(service, EstimateRequest::For("no-such-flow")
+                                 .OnCluster("no-such-cluster"));
   EXPECT_FALSE(cluster.ok());
 }
 
@@ -145,19 +133,15 @@ TEST(ServiceTest, QueueFullShedsWithResourceExhausted) {
   ASSERT_TRUE(service.RegisterSource("default", &gate, "gate").ok());
 
   // First request occupies the only worker, blocked inside the source.
-  ServiceRequest first;
-  first.workflow = "q6";
-  std::future<Result<WorkflowEstimate>> inflight =
-      service.Submit(std::move(first));
+  std::future<Result<EstimateResponse>> inflight =
+      service.Submit(EstimateRequest::For("q6"));
   gate.WaitUntilEntered();
 
   // The queue (depth 1) is now full: the next submit must be shed, not
   // queued — its future is ready immediately.
-  ServiceRequest second;
-  second.workflow = "q6";
-  std::future<Result<WorkflowEstimate>> shed = service.Submit(std::move(second));
+  std::future<Result<EstimateResponse>> shed = service.Submit(EstimateRequest::For("q6"));
   ASSERT_EQ(shed.wait_for(std::chrono::seconds(0)), std::future_status::ready);
-  Result<WorkflowEstimate> shed_result = shed.get();
+  Result<EstimateResponse> shed_result = shed.get();
   ASSERT_FALSE(shed_result.ok());
   EXPECT_EQ(shed_result.status().code(), ErrorCode::kResourceExhausted);
   EXPECT_TRUE(IsRetryable(shed_result.status().code()));
@@ -178,26 +162,20 @@ TEST(ServiceTest, DeadlineExpiresInQueue) {
   GateSource gate;
   ASSERT_TRUE(service.RegisterSource("default", &gate, "gate").ok());
 
-  ServiceRequest first;
-  first.workflow = "q6";
-  std::future<Result<WorkflowEstimate>> inflight =
-      service.Submit(std::move(first));
+  std::future<Result<EstimateResponse>> inflight =
+      service.Submit(EstimateRequest::For("q6"));
   gate.WaitUntilEntered();
 
   // Queued behind the blocked worker with a deadline that expires while it
   // waits: the worker must reject it at dequeue without estimating. Opted
   // out of coalescing — attaching to the in-flight computation would serve
   // it from the leader instead of letting it expire in the queue.
-  ServiceRequest doomed;
-  doomed.workflow = "q6";
-  doomed.coalesce = false;
-  doomed.budget.deadline = Deadline::AfterSeconds(0.01);
-  std::future<Result<WorkflowEstimate>> expired =
-      service.Submit(std::move(doomed));
+  std::future<Result<EstimateResponse>> expired =
+      service.Submit(EstimateRequest::For("q6").WithoutCoalescing().WithDeadline(0.01));
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   gate.Open();
 
-  Result<WorkflowEstimate> result = expired.get();
+  Result<EstimateResponse> result = expired.get();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), ErrorCode::kDeadlineExceeded);
   ASSERT_TRUE(inflight.get().ok());
@@ -212,10 +190,8 @@ TEST(ServiceTest, DrainWaitsForInflightAndRejectsNewWork) {
   GateSource gate;
   ASSERT_TRUE(service.RegisterSource("default", &gate, "gate").ok());
 
-  ServiceRequest request;
-  request.workflow = "q6";
-  std::future<Result<WorkflowEstimate>> inflight =
-      service.Submit(std::move(request));
+  std::future<Result<EstimateResponse>> inflight =
+      service.Submit(EstimateRequest::For("q6"));
   gate.WaitUntilEntered();
 
   std::promise<Result<int>> drained_promise;
@@ -228,9 +204,7 @@ TEST(ServiceTest, DrainWaitsForInflightAndRejectsNewWork) {
   EXPECT_TRUE(service.draining());
 
   // New work is rejected while draining, with a non-retryable code.
-  ServiceRequest late;
-  late.workflow = "q6";
-  Result<WorkflowEstimate> rejected = service.Submit(std::move(late)).get();
+  Result<WorkflowEstimate> rejected = ServeEstimate(service, EstimateRequest::For("q6"));
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), ErrorCode::kFailedPrecondition);
 
@@ -250,9 +224,7 @@ TEST(ServiceTest, MemoIsReusedAcrossRequests) {
   EstimationService service;
   ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
 
-  ServiceRequest first;
-  first.workflow = "q6";
-  Result<WorkflowEstimate> cold = service.Submit(std::move(first)).get();
+  Result<WorkflowEstimate> cold = ServeEstimate(service, EstimateRequest::For("q6"));
   ASSERT_TRUE(cold.ok());
   const TaskTimeMemo::Stats after_cold = service.Stats().cache;
   EXPECT_EQ(after_cold.hits, 0u);
@@ -261,9 +233,7 @@ TEST(ServiceTest, MemoIsReusedAcrossRequests) {
   // The identical request again resumes from the cross-request checkpoint
   // store — the whole replay is skipped, so the memo is never even queried —
   // and the answer must be bit-identical.
-  ServiceRequest second;
-  second.workflow = "q6";
-  Result<WorkflowEstimate> warm = service.Submit(std::move(second)).get();
+  Result<WorkflowEstimate> warm = ServeEstimate(service, EstimateRequest::For("q6"));
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(warm.value().estimate.makespan.seconds(),
             cold.value().estimate.makespan.seconds());
@@ -274,9 +244,7 @@ TEST(ServiceTest, MemoIsReusedAcrossRequests) {
   // With the checkpoints gone the request replays in full, and every
   // task-time query must hit the cross-request memo.
   service.checkpoints().Clear();
-  ServiceRequest third;
-  third.workflow = "q6";
-  Result<WorkflowEstimate> replay = service.Submit(std::move(third)).get();
+  Result<WorkflowEstimate> replay = ServeEstimate(service, EstimateRequest::For("q6"));
   ASSERT_TRUE(replay.ok());
   EXPECT_EQ(replay.value().estimate.makespan.seconds(),
             cold.value().estimate.makespan.seconds());
@@ -303,17 +271,13 @@ TEST(ServiceTest, PerClusterCacheScopesNeverAlias) {
   other.node.network_bw = Rate::MBps(60);
   ASSERT_TRUE(service.RegisterCluster("big-nodes", other).ok());
 
-  ServiceRequest on_default;
-  on_default.workflow = "q6";
-  Result<WorkflowEstimate> base = service.Submit(std::move(on_default)).get();
+  Result<WorkflowEstimate> base = ServeEstimate(service, EstimateRequest::For("q6"));
   ASSERT_TRUE(base.ok());
 
   // Same workflow on different hardware: the scoped memo must not serve the
   // default cluster's entries, so the answers differ.
-  ServiceRequest on_big;
-  on_big.workflow = "q6";
-  on_big.cluster = "big-nodes";
-  Result<WorkflowEstimate> big = service.Submit(std::move(on_big)).get();
+  Result<WorkflowEstimate> big =
+      ServeEstimate(service, EstimateRequest::For("q6").OnCluster("big-nodes"));
   ASSERT_TRUE(big.ok());
   EXPECT_NE(base.value().estimate.makespan.seconds(),
             big.value().estimate.makespan.seconds());
@@ -322,10 +286,8 @@ TEST(ServiceTest, PerClusterCacheScopesNeverAlias) {
 TEST(ServiceTest, SweepSharesMemoAndFindsBest) {
   EstimationService service;
   ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
-  ServiceSweepRequest sweep;
-  sweep.workflow = "q6";
-  sweep.nodes_list = {2, 4, 8};
-  Result<ServiceSweepResult> served = service.SubmitSweep(std::move(sweep)).get();
+  Result<ServiceSweepResult> served =
+      ServeSweep(service, EstimateRequest::For("q6").SweepNodes({2, 4, 8}));
   ASSERT_TRUE(served.ok()) << served.status().ToString();
   const SweepResult& result = served.value().sweep;
   ASSERT_EQ(result.estimates.size(), 3u);
@@ -333,12 +295,6 @@ TEST(ServiceTest, SweepSharesMemoAndFindsBest) {
   ASSERT_GE(result.stats.best_index, 0);
   // More nodes, faster: best candidate is the largest cluster.
   EXPECT_EQ(served.value().nodes_list[result.stats.best_index], 8);
-
-  ServiceSweepRequest empty;
-  empty.workflow = "q6";
-  Result<ServiceSweepResult> bad = service.SubmitSweep(std::move(empty)).get();
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), ErrorCode::kInvalidArgument);
 }
 
 TEST(ServiceTest, BatchAdmitsIndependently) {
@@ -350,8 +306,7 @@ TEST(ServiceTest, BatchAdmitsIndependently) {
   GateSource gate;
   ASSERT_TRUE(service.RegisterSource("default", &gate, "gate").ok());
 
-  std::vector<ServiceRequest> requests(3);
-  for (ServiceRequest& r : requests) r.workflow = "q6";
+  std::vector<EstimateRequest> requests(3, EstimateRequest::For("q6"));
   auto futures = service.SubmitBatch(std::move(requests));
   ASSERT_EQ(futures.size(), 3u);
   // Queue depth 2: the batch's tail is shed, the head is queued.
@@ -407,7 +362,36 @@ TEST(ProtocolTest, ErrorsUseStableCodeVocabulary) {
   EXPECT_EQ(error_code(R"({"op":"estimate","workflow":"nope"})"), "NOT_FOUND");
   EXPECT_EQ(error_code(R"({"op":"sweep","workflow":"nope"})"),
             "INVALID_ARGUMENT");
+  EXPECT_EQ(error_code(R"({"op":"sweep","workflow":"nope","nodes_list":[]})"),
+            "INVALID_ARGUMENT");
   EXPECT_FALSE(protocol.drain_requested());
+}
+
+TEST(ProtocolTest, SweepIgnoresWireHedgeField) {
+  // Hedged sweeps were removed in 0.10: a client still sending "hedge":true
+  // gets exactly the answer of the same line without it, and no response
+  // carries hedge accounting. One worker keeps the memo counts repeatable.
+  const auto sweep_result = [](const std::string& line) {
+    ServiceOptions options;
+    options.threads = 1;
+    EstimationService service(options);
+    EXPECT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
+    Protocol protocol(&service);
+    const std::string response = protocol.HandleLine(line);
+    EXPECT_EQ(response.find("hedges"), std::string::npos) << response;
+    Result<Json> parsed = Json::Parse(response);
+    if (!parsed.ok() || !parsed.value().GetBool("ok", false)) {
+      ADD_FAILURE() << response;
+      return std::string();
+    }
+    Json result = *parsed.value().Get("result");
+    result.Set("service_ms", Json::MakeNumber(0.0));  // Wall-clock timing.
+    return result.DumpCompact();
+  };
+  EXPECT_EQ(
+      sweep_result(
+          R"({"op":"sweep","workflow":"q6","nodes_list":[2,4,8],"hedge":true})"),
+      sweep_result(R"({"op":"sweep","workflow":"q6","nodes_list":[2,4,8]})"));
 }
 
 TEST(ProtocolTest, StatsAndDrainVerbs) {

@@ -20,8 +20,8 @@
 //   dagperf tune     --job WC|TS|TSC|TS2R|TS3R [--input-gb G]
 //   dagperf serve    [--stdio | --port P] [--scale S] [--nodes N]
 //                    [--threads N] [--queue-depth D] [--deadline-seconds D]
-//                    [--grace-seconds G] [--watchdog-multiple M]
-//                    [--breaker-threshold K] [--read-idle-seconds I]
+//                    [--grace-seconds G] [--breaker-threshold K]
+//                    [--read-idle-seconds I]
 //                    [--metrics-port P] [--slo-p99-ms MS] [--slo-availability F]
 //                    [--flight-out FILE.json] [--shard-id ID] [--port-file F]
 //   dagperf route    --shards N [--port P] [--dir DIR] [--scale S]
@@ -41,8 +41,7 @@
 // --grace-seconds to finish, stragglers are cancelled with
 // UNAVAILABLE{retryable}, and the process exits 0. --breaker-threshold K
 // opens a per-cluster circuit breaker after K consecutive serving failures
-// (0 disables; default 8); --watchdog-multiple M cancels any request
-// running past M x its deadline.
+// (0 disables; default 8).
 //
 // `route` runs a multi-process fleet (src/router/): N child `dagperf serve`
 // shards behind a consistent-hash router on one TCP port. Requests route by
@@ -226,7 +225,7 @@ int Usage() {
                "[--json F] [--csv F] [--chrome F] "
                "[--metrics-json F] [--trace-out F] "
                "[--stdio] [--port P] [--queue-depth D] [--grace-seconds G] "
-               "[--watchdog-multiple M] [--breaker-threshold K] "
+               "[--breaker-threshold K] "
                "[--read-idle-seconds I] "
                "[--overload-target-ms T] [--snapshot-dir DIR] "
                "[--snapshot-interval-seconds S] "
@@ -732,7 +731,6 @@ int CmdServe(const Args& args) {
   options.threads = args.GetInt("threads", 0);
   options.max_queue_depth = args.GetInt("queue-depth", 256);
   options.default_deadline_seconds = args.GetDouble("deadline-seconds", 0.0);
-  options.watchdog_multiple = args.GetDouble("watchdog-multiple", 0.0);
   // Serving default: breakers ON (library default is off) — a cluster whose
   // estimation path keeps failing should shed fast, not grind.
   options.breaker_failure_threshold = args.GetInt("breaker-threshold", 8);
