@@ -12,6 +12,7 @@
 //   armed   — the same workload with metrics on, SLO objectives set, and
 //             the flight recorder capturing every request.
 //
+// Each micro figure is the fastest of kMicroRepeats timed loops.
 // The armed run's measured per-request hook cost (micro ns x hooks/request)
 // is reported as a percentage of baseline p50 — the calibrated gate CI
 // enforces (enabled <= 1%, disarmed ~ 0), immune to shared-runner noise in
@@ -107,14 +108,25 @@ Json RunJson(RunResult& run) {
   return doc;
 }
 
-/// ns/op of `op` over `iters` iterations (op must not be optimised away —
-/// every hook below mutates shared atomics or a sink the compiler can't
-/// prove dead).
+/// Timed repeats per hook loop; MeasureNs reports the fastest.
+constexpr int kMicroRepeats = 5;
+
+/// ns/op of `op`: the minimum over kMicroRepeats loops of `iters` iterations
+/// each (op must not be optimised away — every hook below mutates shared
+/// atomics or a sink the compiler can't prove dead). Preemption, frequency
+/// ramps and cold caches only ever add time, so the fastest loop is the
+/// hook's own cost.
 template <typename Op>
 double MeasureNs(long long iters, Op&& op) {
-  const double start = Now();
-  for (long long i = 0; i < iters; ++i) op(i);
-  return iters > 0 ? (Now() - start) * 1e9 / static_cast<double>(iters) : 0.0;
+  if (iters <= 0) return 0.0;
+  double best_ns = 0.0;
+  for (int k = 0; k < kMicroRepeats; ++k) {
+    const double start = Now();
+    for (long long i = 0; i < iters; ++i) op(k * iters + i);
+    const double ns = (Now() - start) * 1e9 / static_cast<double>(iters);
+    if (k == 0 || ns < best_ns) best_ns = ns;
+  }
+  return best_ns;
 }
 
 int Main(int argc, char** argv) {
@@ -180,8 +192,10 @@ int Main(int argc, char** argv) {
   });
   obs::SetMetricsEnabled(false);
 
-  std::printf("bench_obs: %d clients x %d requests, %lld micro iterations\n",
-              clients, per_client, micro_iters);
+  std::printf(
+      "bench_obs: %d clients x %d requests, best of %d x %lld micro "
+      "iterations\n",
+      clients, per_client, kMicroRepeats, micro_iters);
   std::printf("hook            disarmed      armed\n");
   std::printf("flight.Record   %7.2f ns  %7.2f ns\n", flight_disarmed_ns,
               flight_armed_ns);
@@ -271,6 +285,8 @@ int Main(int argc, char** argv) {
       disarmed_request_ns, disarmed_overhead_percent);
 
   Json micro = Json::MakeObject();
+  micro.Set("iterations", Json::MakeNumber(static_cast<double>(micro_iters)));
+  micro.Set("repeats", Json::MakeNumber(kMicroRepeats));
   micro.Set("flight_record_disarmed_ns", Json::MakeNumber(flight_disarmed_ns));
   micro.Set("flight_record_armed_ns", Json::MakeNumber(flight_armed_ns));
   micro.Set("window_record_disarmed_ns", Json::MakeNumber(window_disarmed_ns));

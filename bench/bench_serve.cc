@@ -17,7 +17,7 @@
 //          and every rejection must be retryable with a retry_after_ms hint;
 //   snapshot — the warm service's memo + checkpoints are saved, restored
 //          into a fresh service, and probed with 100 requests: the restored
-//          shard's warm-serving rate (requests answered without a single
+//          service's warm-serving rate (requests answered without a single
 //          memo miss) must reach >= 80% of the live pre-restart service's
 //          rate (a cold control service is probed for contrast).
 //
@@ -34,8 +34,6 @@
 //
 // Build & run:  ./build/bench/bench_serve [clients] [requests-per-client]
 
-#include <signal.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -43,9 +41,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
-#include <future>
 #include <memory>
 #include <random>
 #include <string>
@@ -54,8 +50,6 @@
 
 #include "common/json.h"
 #include "resilience/fault.h"
-#include "router/router.h"
-#include "service/line_client.h"
 #include "service/service.h"
 #include "workloads/suite.h"
 
@@ -316,7 +310,7 @@ int Main(int argc, char** argv) {
       std::max(2.0 * light_p99_isolated, 2.0);
   const bool light_within_bound = light_p99_contended <= light_p99_bound;
 
-  // --- Snapshot/restore: a restarted shard must not serve cold. ---
+  // --- Snapshot/restore: a restarted service must not serve cold. ---
   //
   // The probe mix spreads the recurring workflows over three cluster sizes
   // — distinct (workflow, nodes) pairs, so a cold start pays real model
@@ -437,325 +431,6 @@ int Main(int argc, char** argv) {
   const double burst_p50 = QuantileOfMs(burst_ms, 0.50);
   const double burst_p99 = QuantileOfMs(burst_ms, 0.99);
 
-  // --- Fleet: router overhead vs a direct shard + failover recovery. -------
-  //
-  // Both stacks answer the same 64 globally distinct (workflow, nodes)
-  // estimates cold over real loopback TCP: "direct" speaks straight to one
-  // `dagperf serve` child, "router" goes through a 3-shard consistent-hash
-  // fleet. Distinct pairs force full model compute per request, so the
-  // overhead ratio compares the proxy hop against genuine work rather than
-  // against sub-millisecond memo hits. CI gates router p50 <= 1.2x direct
-  // p50. Afterwards the shard owning names[0]'s arc is SIGKILLed under a
-  // trickle of load; failover_recovery_ms is the time until the
-  // supervisor's restarted child passes its readmission quorum, and every
-  // error the trickle client sees must be retryable.
-  std::string dagperf_bin;
-  if (const char* env = std::getenv("DAGPERF_BIN");
-      env != nullptr && env[0] != '\0') {
-    dagperf_bin = env;
-  }
-#ifdef DAGPERF_CLI_PATH
-  if (dagperf_bin.empty()) dagperf_bin = DAGPERF_CLI_PATH;
-#endif
-  if (dagperf_bin.empty()) {
-    std::fprintf(stderr, "fleet: no dagperf binary (set DAGPERF_BIN)\n");
-    return 1;
-  }
-  const std::string fleet_dir = "BENCH_serve_fleet";
-  std::error_code fleet_dir_ec;
-  std::filesystem::remove_all(fleet_dir, fleet_dir_ec);
-  std::filesystem::create_directories(fleet_dir, fleet_dir_ec);
-  const auto make_spec = [&](const std::string& id) {
-    router::ShardSpec spec;
-    spec.shard_id = id;
-    spec.port_file = fleet_dir + "/" + id + ".port";
-    spec.stderr_file = fleet_dir + "/" + id + ".log";
-    std::filesystem::create_directories(fleet_dir + "/" + id, fleet_dir_ec);
-    spec.command = {dagperf_bin,
-                    "serve",
-                    "--port",
-                    "0",
-                    "--port-file",
-                    spec.port_file,
-                    "--shard-id",
-                    id,
-                    "--snapshot-dir",
-                    fleet_dir + "/" + id,
-                    "--scale",
-                    "0.1",
-                    "--threads",
-                    "2"};
-    return spec;
-  };
-  constexpr int kFleetShards = 3;
-  // A latency-overhead comparison wants the proxy hop, not scheduler
-  // noise: keep client concurrency low (this box may be a single core —
-  // the router run alone adds a whole process of threads) and warm the
-  // router->shard connection pools before measuring.
-  constexpr int kFleetClients = 2;
-  constexpr int kFleetPerClient = 32;
-  constexpr int kFleetRequests = kFleetClients * kFleetPerClient;
-  // Each measured request is a 16-candidate capacity sweep (the paper's
-  // what-if serving workload) over a window of node counts neither stack
-  // has seen: (workflow, nodes) pairs stay globally distinct within each
-  // stack, so every candidate pays full model compute and the overhead
-  // ratio compares the proxy hop against real work, not sub-millisecond
-  // memo hits. Both stacks are up at once and each client issues every
-  // sweep to BOTH back-to-back in alternating order — paired samples, so
-  // ambient scheduler noise (this may be a one-core box) hits the two
-  // stacks equally instead of whichever run it coincided with.
-  constexpr int kFleetSweepWidth = 16;
-  const auto fleet_line = [&](int g) {
-    const int window = g / static_cast<int>(names.size());
-    const int base = 10 + window * kFleetSweepWidth;
-    std::string nodes_list;
-    for (int k = 0; k < kFleetSweepWidth; ++k) {
-      if (k > 0) nodes_list += ",";
-      nodes_list += std::to_string(base + k);
-    }
-    return "{\"op\":\"sweep\",\"id\":" + std::to_string(g) +
-           ",\"workflow\":\"" +
-           names[static_cast<std::size_t>(g) % names.size()] +
-           "\",\"nodes_list\":[" + nodes_list + "]}";
-  };
-  const auto drive_paired = [&](int direct_port, int router_port,
-                                std::vector<double>* direct_out,
-                                std::vector<double>* router_out) {
-    std::vector<std::vector<double>> direct_samples(
-        static_cast<std::size_t>(kFleetClients));
-    std::vector<std::vector<double>> router_samples(
-        static_cast<std::size_t>(kFleetClients));
-    std::vector<std::thread> workers;
-    std::atomic<bool> drove{true};
-    for (int c = 0; c < kFleetClients; ++c) {
-      workers.emplace_back([&, c] {
-        protocol::LineClient to_direct;
-        protocol::LineClient to_router;
-        if (!to_direct.Connect(direct_port).ok() ||
-            !to_router.Connect(router_port).ok()) {
-          drove = false;
-          return;
-        }
-        const auto timed = [&](protocol::LineClient& client,
-                               const std::string& line,
-                               std::vector<double>* out) {
-          const double begin = Now();
-          const Result<std::string> response = client.Call(line, 60.0);
-          if (!response.ok()) return false;
-          const Result<Json> parsed = Json::Parse(response.value());
-          if (!parsed.ok() || !parsed.value().GetBool("ok", false)) {
-            return false;
-          }
-          out->push_back((Now() - begin) * 1e3);
-          return true;
-        };
-        // Warmup: repeat-key requests (memo hits, near-zero compute) that
-        // open every pooled connection and fault in both stacks' code
-        // paths before the measured loop.
-        for (std::size_t w = 0; w < 2 * names.size(); ++w) {
-          const std::string warm =
-              "{\"op\":\"estimate\",\"id\":0,\"workflow\":\"" +
-              names[w % names.size()] + "\"}";
-          if (!to_direct.Call(warm, 60.0).ok() ||
-              !to_router.Call(warm, 60.0).ok()) {
-            drove = false;
-            return;
-          }
-        }
-        std::vector<double>& mine_direct =
-            direct_samples[static_cast<std::size_t>(c)];
-        std::vector<double>& mine_router =
-            router_samples[static_cast<std::size_t>(c)];
-        for (int i = 0; i < kFleetPerClient; ++i) {
-          const int g = c * kFleetPerClient + i;
-          const std::string line = fleet_line(g);
-          const bool paired =
-              g % 2 == 0 ? (timed(to_direct, line, &mine_direct) &&
-                            timed(to_router, line, &mine_router))
-                         : (timed(to_router, line, &mine_router) &&
-                            timed(to_direct, line, &mine_direct));
-          if (!paired) {
-            drove = false;
-            return;
-          }
-        }
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-    for (const std::vector<double>& sample : direct_samples) {
-      direct_out->insert(direct_out->end(), sample.begin(), sample.end());
-    }
-    for (const std::vector<double>& sample : router_samples) {
-      router_out->insert(router_out->end(), sample.begin(), sample.end());
-    }
-    return drove.load();
-  };
-
-  std::vector<double> fleet_direct_ms;
-  std::vector<double> fleet_router_ms;
-  double failover_recovery_ms = 0.0;
-  std::uint64_t trickle_served = 0;
-  std::uint64_t trickle_retryable = 0;
-  std::uint64_t trickle_non_retryable = 0;
-  router::RouterSummary fleet_summary;
-  {
-    router::ShardSpec direct_spec = make_spec("direct");
-    router::ShardProcessOptions direct_options;
-    direct_options.shard_id = direct_spec.shard_id;
-    direct_options.command = direct_spec.command;
-    direct_options.port_file = direct_spec.port_file;
-    direct_options.stderr_file = direct_spec.stderr_file;
-    router::ShardProcess direct(std::move(direct_options));
-    if (Status st = direct.Start(); !st.ok()) {
-      std::fprintf(stderr, "fleet: direct shard failed to start: %s\n",
-                   st.ToString().c_str());
-      return 1;
-    }
-
-    std::vector<router::ShardSpec> specs;
-    for (int i = 0; i < kFleetShards; ++i) {
-      specs.push_back(make_spec("shard-" + std::to_string(i)));
-    }
-    router::RouterOptions options;
-    options.probe_interval_seconds = 0.02;
-    options.restart_backoff_initial_seconds = 0.02;
-    const CancelToken stop = CancelToken::Cancellable();
-    options.stop = stop;
-    auto port_promise = std::make_shared<std::promise<int>>();
-    options.on_listen = [port_promise](int port) {
-      try {
-        port_promise->set_value(port);
-      } catch (const std::future_error&) {
-      }
-    };
-    router::Router fleet(std::move(specs), std::move(options));
-    std::atomic<bool> serve_ok{false};
-    std::thread serve_thread([&] {
-      const Result<router::RouterSummary> served = fleet.Serve();
-      if (served.ok()) {
-        fleet_summary = served.value();
-        serve_ok = true;
-      } else {
-        std::fprintf(stderr, "fleet: router serve failed: %s\n",
-                     served.status().ToString().c_str());
-      }
-      try {
-        port_promise->set_value(-1);
-      } catch (const std::future_error&) {
-      }
-    });
-    const int router_port = port_promise->get_future().get();
-    if (router_port <= 0) {
-      serve_thread.join();
-      std::fprintf(stderr, "fleet: router failed to listen\n");
-      return 1;
-    }
-    const bool drove = drive_paired(direct.port(), router_port,
-                                    &fleet_direct_ms, &fleet_router_ms);
-    direct.Terminate();
-    direct.WaitExit(10.0);
-    if (!drove) {
-      stop.Cancel();
-      serve_thread.join();
-      std::fprintf(stderr, "fleet: paired measurement failed\n");
-      return 1;
-    }
-
-    // Failover: kill the owner of names[0]'s arc under a trickle of load
-    // and time the readmission (launches bump + back to kUp).
-    const std::string victim =
-        fleet.OwnerOf(router::Router::RouteKey("default", names[0]));
-    pid_t victim_pid = -1;
-    std::uint64_t launches_pre = 0;
-    for (const router::ShardInfo& info : fleet.Shards()) {
-      if (info.shard_id == victim) {
-        victim_pid = info.pid;
-        launches_pre = info.launches;
-      }
-    }
-    std::atomic<bool> trickle_stop{false};
-    std::thread trickle([&] {
-      protocol::LineClient client;
-      int id = 1 << 20;
-      while (!trickle_stop.load()) {
-        if (!client.connected() && !client.Connect(router_port).ok()) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(5));
-          continue;
-        }
-        const std::string line =
-            "{\"op\":\"estimate\",\"id\":" + std::to_string(id++) +
-            ",\"workflow\":\"" + names[0] + "\"}";
-        const Result<std::string> response = client.Call(line, 10.0);
-        if (!response.ok()) {
-          client.Close();  // shard died mid-flight; reconnect and retry
-          continue;
-        }
-        const Result<Json> parsed = Json::Parse(response.value());
-        if (!parsed.ok()) continue;
-        if (parsed.value().GetBool("ok", false)) {
-          ++trickle_served;
-        } else {
-          const Json* error = parsed.value().Get("error");
-          if (error != nullptr && error->GetBool("retryable", false)) {
-            ++trickle_retryable;
-          } else {
-            ++trickle_non_retryable;
-          }
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }
-    });
-    const double kill_start = Now();
-    if (victim_pid > 0) ::kill(victim_pid, SIGKILL);
-    bool recovered = false;
-    while (!recovered && Now() - kill_start < 60.0) {
-      for (const router::ShardInfo& info : fleet.Shards()) {
-        if (info.shard_id == victim &&
-            info.state == router::ShardState::kUp &&
-            info.launches > launches_pre) {
-          recovered = true;
-        }
-      }
-      if (!recovered) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }
-    }
-    failover_recovery_ms = (Now() - kill_start) * 1e3;
-    trickle_stop = true;
-    trickle.join();
-    stop.Cancel();
-    serve_thread.join();
-    if (!recovered || !serve_ok.load()) {
-      std::fprintf(stderr, "fleet: failover recovery failed\n");
-      return 1;
-    }
-    if (trickle_non_retryable > 0) {
-      std::fprintf(stderr,
-                   "fleet: %llu non-retryable errors during failover\n",
-                   static_cast<unsigned long long>(trickle_non_retryable));
-      return 1;
-    }
-  }
-  std::filesystem::remove_all(fleet_dir, fleet_dir_ec);
-  const double fleet_direct_p50 = QuantileOfMs(fleet_direct_ms, 0.50);
-  const double fleet_direct_p99 = QuantileOfMs(fleet_direct_ms, 0.99);
-  const double fleet_router_p50 = QuantileOfMs(fleet_router_ms, 0.50);
-  const double fleet_router_p99 = QuantileOfMs(fleet_router_ms, 0.99);
-  // The gated p50 overhead is the median of per-pair ratios: each sweep
-  // was sent to both stacks back-to-back, so the pairwise estimator
-  // cancels the scheduler noise that a ratio of independent medians keeps.
-  std::vector<double> fleet_pair_overhead;
-  for (std::size_t i = 0;
-       i < std::min(fleet_direct_ms.size(), fleet_router_ms.size()); ++i) {
-    if (fleet_direct_ms[i] > 0) {
-      fleet_pair_overhead.push_back(fleet_router_ms[i] / fleet_direct_ms[i] -
-                                    1.0);
-    }
-  }
-  const double fleet_p50_overhead = QuantileOfMs(fleet_pair_overhead, 0.50);
-  const double fleet_p99_overhead =
-      fleet_direct_p99 > 0 ? fleet_router_p99 / fleet_direct_p99 - 1.0 : 0.0;
-
   const double cold_rps = cold.Rps();
   const double warm_rps = warm.Rps();
   const double speedup = cold_rps > 0 ? warm_rps / cold_rps : 0.0;
@@ -802,22 +477,6 @@ int Main(int argc, char** argv) {
       static_cast<unsigned long long>(burst_stats.coalesce_attached),
       static_cast<unsigned long long>(burst_stats.coalesce_leaders), burst_p50,
       burst_p99);
-  std::printf(
-      "fleet (%d shards, %d clients, %d sweeps paired direct+router over "
-      "TCP):\n"
-      "  direct p50 %6.2f ms p99 %6.2f ms; router p50 %6.2f ms p99 %6.2f ms "
-      "(paired p50 overhead %+.1f%%, bound +20%% %s)\n"
-      "  failover: recovery %.0f ms, %llu router restarts, %llu reroutes; "
-      "trickle %llu served, %llu retryable, %llu non-retryable\n",
-      kFleetShards, kFleetClients, kFleetRequests, fleet_direct_p50,
-      fleet_direct_p99, fleet_router_p50, fleet_router_p99,
-      100.0 * fleet_p50_overhead,
-      fleet_p50_overhead <= 0.20 ? "ok" : "EXCEEDED", failover_recovery_ms,
-      static_cast<unsigned long long>(fleet_summary.restarts),
-      static_cast<unsigned long long>(fleet_summary.reroutes),
-      static_cast<unsigned long long>(trickle_served),
-      static_cast<unsigned long long>(trickle_retryable),
-      static_cast<unsigned long long>(trickle_non_retryable));
 
   Json doc = Json::MakeObject();
   doc.Set("clients", Json::MakeNumber(clients));
@@ -893,36 +552,6 @@ int Main(int argc, char** argv) {
   coalesce_json.Set("p50_ms", Json::MakeNumber(burst_p50));
   coalesce_json.Set("p99_ms", Json::MakeNumber(burst_p99));
   doc.Set("coalesce", std::move(coalesce_json));
-  Json fleet_json = Json::MakeObject();
-  fleet_json.Set("shards", Json::MakeNumber(kFleetShards));
-  fleet_json.Set("clients", Json::MakeNumber(kFleetClients));
-  fleet_json.Set("requests", Json::MakeNumber(kFleetRequests));
-  Json fleet_direct_json = Json::MakeObject();
-  fleet_direct_json.Set("p50_ms", Json::MakeNumber(fleet_direct_p50));
-  fleet_direct_json.Set("p99_ms", Json::MakeNumber(fleet_direct_p99));
-  fleet_json.Set("direct", std::move(fleet_direct_json));
-  Json fleet_router_json = Json::MakeObject();
-  fleet_router_json.Set("p50_ms", Json::MakeNumber(fleet_router_p50));
-  fleet_router_json.Set("p99_ms", Json::MakeNumber(fleet_router_p99));
-  fleet_json.Set("router", std::move(fleet_router_json));
-  fleet_json.Set("p50_overhead", Json::MakeNumber(fleet_p50_overhead));
-  fleet_json.Set("p99_overhead", Json::MakeNumber(fleet_p99_overhead));
-  fleet_json.Set("failover_recovery_ms",
-                 Json::MakeNumber(failover_recovery_ms));
-  fleet_json.Set("router_requests",
-                 Json::MakeNumber(static_cast<double>(fleet_summary.requests)));
-  fleet_json.Set("router_restarts",
-                 Json::MakeNumber(static_cast<double>(fleet_summary.restarts)));
-  fleet_json.Set("router_reroutes",
-                 Json::MakeNumber(static_cast<double>(fleet_summary.reroutes)));
-  fleet_json.Set("trickle_served",
-                 Json::MakeNumber(static_cast<double>(trickle_served)));
-  fleet_json.Set("trickle_retryable",
-                 Json::MakeNumber(static_cast<double>(trickle_retryable)));
-  fleet_json.Set(
-      "trickle_non_retryable",
-      Json::MakeNumber(static_cast<double>(trickle_non_retryable)));
-  doc.Set("fleet", std::move(fleet_json));
   std::ofstream out("BENCH_serve.json");
   out << doc.Dump();
   std::printf("wrote BENCH_serve.json\n");

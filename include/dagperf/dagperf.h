@@ -59,21 +59,13 @@
 // The estimation service: long-lived serving entry point + NDJSON protocol,
 // per-tenant DRF fair-share admission, plus the loopback /metrics HTTP
 // endpoint for Prometheus scrapes. protocol::LineClient is the client-side
-// framing shared by the router, benches, and the CLI.
+// framing shared by the benches, tests, and the CLI.
 #include "service/line_client.h"
 #include "service/metrics_http.h"
 #include "service/protocol.h"
 #include "service/server.h"
 #include "service/service.h"
 #include "service/tenancy.h"
-
-// Fleet serving (0.9): a consistent-hash router fronting N `dagperf serve`
-// shards — supervision, health-checked readmission, warm-snapshot rejoin
-// (docs/architecture.md, docs/robustness.md).
-#include "router/health.h"
-#include "router/ring.h"
-#include "router/router.h"
-#include "router/supervisor.h"
 
 // Ready-made workloads: paper micro jobs, the Table III suite, TPC-H,
 // Spark-ML shapes, the web-analytics running example.

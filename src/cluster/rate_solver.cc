@@ -46,9 +46,10 @@ double WaterFill(double capacity, const std::vector<double>& populations,
     consumed += populations[i] * wants[i];
     above_weight -= populations[i];
   }
-  // All wants below capacity — contradiction with total > capacity.
-  DAGPERF_CHECK_MSG(false, "water-fill found no level");
-  return 0.0;
+  // Every candidate level lay above its want: summed in sorted order, the
+  // wants fit under the capacity. `total` summed them in input order and
+  // rounded differently, so the resource is unsaturated after all.
+  return kInf;
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 #include "model/snapshot.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -313,15 +312,9 @@ Status SaveWarmSnapshot(const std::string& path, const TaskTimeMemo& memo,
   return Status::Ok();
 }
 
-namespace {
-
-/// Shared loader; when `scope` is non-null only entries with the
-/// `scope + '#'` key prefix are imported. The filter runs after full
-/// validation — a corrupt snapshot is rejected whole either way.
-Status LoadWarmSnapshotImpl(const std::string& path, const std::string* scope,
-                            TaskTimeMemo* memo,
-                            PrefixCheckpointStore* checkpoints,
-                            SnapshotStats* stats) {
+Status LoadWarmSnapshot(const std::string& path, TaskTimeMemo* memo,
+                        PrefixCheckpointStore* checkpoints,
+                        SnapshotStats* stats) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     return Status::NotFound("snapshot: no file at " + path);
@@ -415,29 +408,6 @@ Status LoadWarmSnapshotImpl(const std::string& path, const std::string* scope,
         " trailing bytes: corrupt, cold-starting");
   }
 
-  if (scope != nullptr) {
-    // Both stores put `scope + '#'` first in their keys (see
-    // TaskTimeMemo::Fingerprint and AppendGlobalFingerprint), so a prefix
-    // test selects exactly one cluster scope's warm state — the '#' stops
-    // "default" from also matching a "default2" scope.
-    const std::string prefix = *scope + "#";
-    auto outside_scope = [&prefix](const std::string& key) {
-      return key.compare(0, prefix.size(), prefix) != 0;
-    };
-    entries.erase(std::remove_if(entries.begin(), entries.end(),
-                                 [&](const TaskTimeMemo::ExportedEntry& e) {
-                                   return outside_scope(e.key);
-                                 }),
-                  entries.end());
-    restored.erase(
-        std::remove_if(
-            restored.begin(), restored.end(),
-            [&](const std::shared_ptr<const EstimatorCheckpoint>& c) {
-              return outside_scope(c->key);
-            }),
-        restored.end());
-  }
-
   memo->Import(entries);
   checkpoints->Import(restored);
   if (stats != nullptr) {
@@ -446,21 +416,6 @@ Status LoadWarmSnapshotImpl(const std::string& path, const std::string* scope,
     stats->bytes = static_cast<std::size_t>(payload_size);
   }
   return Status::Ok();
-}
-
-}  // namespace
-
-Status LoadWarmSnapshot(const std::string& path, TaskTimeMemo* memo,
-                        PrefixCheckpointStore* checkpoints,
-                        SnapshotStats* stats) {
-  return LoadWarmSnapshotImpl(path, nullptr, memo, checkpoints, stats);
-}
-
-Status LoadWarmSnapshotForScope(const std::string& path,
-                                const std::string& scope, TaskTimeMemo* memo,
-                                PrefixCheckpointStore* checkpoints,
-                                SnapshotStats* stats) {
-  return LoadWarmSnapshotImpl(path, &scope, memo, checkpoints, stats);
 }
 
 }  // namespace dagperf

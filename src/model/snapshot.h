@@ -11,7 +11,7 @@
 namespace dagperf {
 
 /// Warm-state snapshot: persists a TaskTimeMemo + PrefixCheckpointStore to
-/// disk so a restarted serving shard does not greet its clients with a
+/// disk so a restarted `dagperf serve` does not greet its clients with a
 /// cold-cache latency cliff (`dagperf serve --snapshot-dir`).
 ///
 /// Format (binary, little-endian as written by the host — snapshots are a
@@ -57,19 +57,6 @@ Status SaveWarmSnapshot(const std::string& path, const TaskTimeMemo& memo,
 Status LoadWarmSnapshot(const std::string& path, TaskTimeMemo* memo,
                         PrefixCheckpointStore* checkpoints,
                         SnapshotStats* stats = nullptr);
-
-/// LoadWarmSnapshot restricted to one cluster scope: only entries whose key
-/// starts with `scope + '#'` — the prefix both TaskTimeMemo::Fingerprint
-/// and the checkpoint store's global fingerprint put first — are imported;
-/// everything else in the snapshot is skipped (and not counted in `stats`).
-/// Validation is unchanged: a corrupt or stale snapshot is rejected whole,
-/// targets untouched, even if the surviving scope slice was intact. This is
-/// the router's warm-handoff path: a shard importing a peer's snapshot
-/// takes only the key range the ring assigns it.
-Status LoadWarmSnapshotForScope(const std::string& path,
-                                const std::string& scope, TaskTimeMemo* memo,
-                                PrefixCheckpointStore* checkpoints,
-                                SnapshotStats* stats = nullptr);
 
 }  // namespace dagperf
 

@@ -50,8 +50,8 @@ Status LineClient::Connect(int port) {
                                std::to_string(port) + ": " +
                                std::strerror(err));
   }
-  // One-line request/response framing: Nagle would batch the small writes,
-  // which on a proxied path (client -> router -> shard) stacks per hop.
+  // One-line request/response framing: Nagle would hold back the small
+  // request writes.
   const int nodelay = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
   fd_ = fd;

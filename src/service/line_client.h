@@ -11,9 +11,8 @@ namespace protocol {
 /// A blocking NDJSON client for the wire protocol in service/protocol.h:
 /// connect to a loopback port, send one line per request, read one line per
 /// response with a deadline. This is the single client-side framing
-/// implementation shared by the router's upstream pools, bench_serve,
-/// chaos_test, and the CLI's query paths — they previously each carried
-/// their own ad-hoc copy of the connect/send/poll-recv loop.
+/// implementation shared by the benches, the tests, and the CLI's query
+/// paths (`metrics`, `top`).
 ///
 /// Not thread-safe: one LineClient per connection per thread (or guard
 /// externally). Reads are buffered, so interleaving RecvLine calls from two
@@ -29,7 +28,7 @@ class LineClient {
   LineClient& operator=(LineClient&& other) noexcept;
 
   /// Connects to 127.0.0.1:port. UNAVAILABLE{retryable-shaped} on refusal —
-  /// a shard that is restarting will refuse briefly, so callers typically
+  /// a server that is restarting will refuse briefly, so callers typically
   /// retry. Any previous connection is closed first.
   Status Connect(int port);
 
@@ -55,8 +54,7 @@ class LineClient {
   /// Reads the next complete line. DEADLINE_EXCEEDED when no full line
   /// arrives within `timeout_seconds`; a clean or mid-line EOF is not an
   /// error — it returns {closed = true} so callers can distinguish "peer
-  /// hung" from "peer went away" (the latter is what shard-death failover
-  /// keys off).
+  /// hung" from "peer went away".
   Result<LineOrClose> RecvLine(double timeout_seconds = 20.0);
 
   /// One request, one response. UNAVAILABLE if the peer closes before

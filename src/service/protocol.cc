@@ -168,13 +168,8 @@ Json StatsToJson(const ServiceStats& stats) {
              Json::MakeNumber(static_cast<double>(stats.expired_in_queue)));
   result.Set("queue_depth", Json::MakeNumber(stats.queue_depth));
   result.Set("draining", Json::MakeBool(stats.draining));
-  // Shard-mode fields: the router's health probes key readmission off
-  // `ready`, and the stats fan-out attributes responses by `shard_id`
-  // (only emitted when the process was launched with an identity).
+  // `ready` is what a health check keys on: false once draining.
   result.Set("ready", Json::MakeBool(stats.ready));
-  if (!stats.shard_id.empty()) {
-    result.Set("shard_id", Json::MakeString(stats.shard_id));
-  }
   // Which warm-state epoch the cache/incremental rates below belong to —
   // bumped whenever a drain resets the memo and checkpoint stores, so
   // clients never mix pre- and post-drain hit rates.

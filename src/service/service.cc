@@ -1134,47 +1134,6 @@ Status EstimationService::LoadSnapshot(const std::string& path) {
   return status;
 }
 
-Status EstimationService::LoadSnapshotForScope(const std::string& path,
-                                               const std::string& scope) {
-  {
-    std::shared_lock lock(registry_mutex_);
-    bool registered = false;
-    for (const auto& [name, entry] : clusters_) {
-      if (entry->scope == scope) {
-        registered = true;
-        break;
-      }
-    }
-    if (!registered) {
-      // A shard must not warm up state it cannot serve: keys for an
-      // unregistered scope would sit dead in the memo forever.
-      const Status status = Status::NotFound(
-          "snapshot scope '" + scope + "' is not registered on this service");
-      flight_.AddEvent("snapshot", "scoped restore rejected: " +
-                                       status.message());
-      return status;
-    }
-  }
-  SnapshotStats snapshot_stats;
-  Status status = LoadWarmSnapshotForScope(path, scope, &memo_, &checkpoints_,
-                                           &snapshot_stats);
-  if (status.ok()) {
-    static obs::Counter& loads =
-        obs::MetricsRegistry::Default().GetCounter("service.snapshot_loads");
-    loads.Add(1);
-    flight_.AddEvent(
-        "snapshot", "restored scope '" + scope + "': " +
-                        std::to_string(snapshot_stats.memo_entries) +
-                        " memo entries + " +
-                        std::to_string(snapshot_stats.checkpoints) +
-                        " checkpoints");
-  } else {
-    flight_.AddEvent("snapshot",
-                     "scoped restore rejected: " + status.message());
-  }
-  return status;
-}
-
 Result<int> EstimationService::Drain() {
   {
     // Unique lock: every in-flight Submit finishes its pool enqueue before
@@ -1252,7 +1211,6 @@ ServiceStats EstimationService::Stats() const {
   stats.queue_depth = queue_depth_.load(std::memory_order_relaxed);
   stats.draining = draining_.load(std::memory_order_relaxed);
   stats.ready = !stats.draining;
-  stats.shard_id = options_.shard_id;
   {
     std::shared_lock lock(registry_mutex_);
     stats.workflows = static_cast<int>(workflows_.size());

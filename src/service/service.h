@@ -108,16 +108,10 @@ struct ServiceOptions {
 
   /// Warm-state snapshot file (model/snapshot.h). When set, Drain/Shutdown
   /// serialise the memo + prefix-checkpoint store here immediately before
-  /// the warm-state reset, so a restarted shard restores its warmth with
+  /// the warm-state reset, so a restarted process restores its warmth with
   /// LoadSnapshot instead of serving a cold-cache latency cliff. `dagperf
   /// serve --snapshot-dir` maps here (plus periodic saves).
   std::string snapshot_path;
-
-  /// Identity of this process within a multi-shard fleet (router/router.h);
-  /// echoed in the stats verb so the router's health probes and stats
-  /// fan-out can attribute responses. "" outside shard mode. `dagperf serve
-  /// --shard-id` maps here.
-  std::string shard_id;
 
   /// In-flight estimate coalescing (singleflight). Concurrent requests for
   /// the same value — same workflow bytes, cluster bits, node override, and
@@ -152,12 +146,9 @@ struct ServiceStats {
   std::uint64_t stats_epoch = 0;
   int queue_depth = 0;
   bool draining = false;
-  /// Shard-mode readiness: true while the service is accepting work
-  /// (= !draining). The router's health probes readmit a restarted shard
-  /// only once its stats report ready.
+  /// True while the service is accepting work (= !draining), so a health
+  /// check can tell a restarted process that serves from one that drains.
   bool ready = true;
-  /// ServiceOptions::shard_id, echoed for fleet attribution.
-  std::string shard_id;
   int workflows = 0;
   int clusters = 0;
   TaskTimeMemo::Stats cache;
@@ -293,16 +284,6 @@ class EstimationService {
   /// are rejected with a diagnostic and the service simply stays cold —
   /// restoring is always optional. Call before serving traffic.
   Status LoadSnapshot(const std::string& path);
-
-  /// Restores only the snapshot entries belonging to `scope` (the
-  /// cluster-scope prefix both warm stores key by — see
-  /// TaskTimeMemo::Fingerprint). The scope must be registered on this
-  /// service (RegisterCluster / RegisterSource): importing a snapshot for a
-  /// scope this shard does not own is NOT_FOUND and leaves the warm state
-  /// untouched. Like LoadSnapshot, the merge is first-wins: entries already
-  /// computed locally are never overwritten by snapshot entries.
-  Status LoadSnapshotForScope(const std::string& path,
-                              const std::string& scope);
 
   /// The overload controller; nullptr when overload control is disabled
   /// (ServiceOptions::overload_target_sojourn_ms == 0).

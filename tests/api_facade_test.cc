@@ -44,10 +44,9 @@
 #error "unified submission API requires dagperf >= 0.8"
 #endif
 
-// Fleet serving (router::Router, protocol::LineClient, scoped snapshot
-// import for warm handoff) arrived in 0.9.
+// protocol::LineClient, the shared NDJSON client framing, arrived in 0.9.
 #if DAGPERF_VERSION_MAJOR == 0 && DAGPERF_VERSION_MINOR < 9
-#error "fleet serving requires dagperf >= 0.9"
+#error "protocol::LineClient requires dagperf >= 0.9"
 #endif
 
 // One submission path: the pre-0.8 Submit/SubmitBatch/SubmitSweep shims,
@@ -55,6 +54,12 @@
 // request watchdog were removed in 0.10.
 #if DAGPERF_VERSION_MAJOR == 0 && DAGPERF_VERSION_MINOR < 10
 #error "the single submission path requires dagperf >= 0.10"
+#endif
+
+// One serving process: the multi-process router (`dagperf route`, shard
+// ids) and scoped snapshot import were removed in 0.11.
+#if DAGPERF_VERSION_MAJOR == 0 && DAGPERF_VERSION_MINOR < 11
+#error "the single-process serving surface requires dagperf >= 0.11"
 #endif
 
 namespace dagperf {

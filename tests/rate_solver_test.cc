@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 namespace dagperf {
 namespace {
@@ -211,6 +212,33 @@ TEST(RateSolverTest, MoreContendersNeverFaster) {
     EXPECT_LE(rates[0].progress_rate, prev + 1e-9);
     prev = rates[0].progress_rate;
   }
+}
+
+TEST(RateSolverTest, WantsThatFitOnlyInSortedOrderLeaveTheResourceUnsaturated) {
+  // Each flow's want on the network is its per-task cap. Summed in input
+  // order the wants round up past the 0.8 capacity (0.6000000000000001 +
+  // 0.05 + 0.15000000000000002); summed in sorted order they fit. The
+  // water-fill then finds no level: every candidate lies above its want.
+  // That means everything fits, so each flow runs at its own cap.
+  const double caps[] = {0.2, 0.05, 0.05};
+  const double populations[] = {3, 1, 3};
+  std::vector<Flow> flows;
+  for (int i = 0; i < 3; ++i) {
+    Flow f;
+    f.population = populations[i];
+    f.demand[Resource::kNetwork] = 1.0;
+    f.per_task_cap[Resource::kNetwork] = caps[i];
+    flows.push_back(f);
+  }
+  const ResourceVector capacities = Caps(0, 0, 0.8, 0);
+  const auto rates = SolveRates(capacities, flows);
+  ASSERT_EQ(rates.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(rates[i].progress_rate, caps[i]) << "flow " << i;
+    EXPECT_EQ(rates[i].bottleneck, static_cast<int>(Resource::kNetwork));
+  }
+  const ResourceVector util = SolutionUtilization(capacities, flows, rates);
+  EXPECT_LE(util[Resource::kNetwork], 1.0 + 1e-12);
 }
 
 }  // namespace

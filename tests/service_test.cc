@@ -5,6 +5,7 @@
 
 #include "service/service.h"
 
+#include <cmath>
 #include <condition_variable>
 #include <future>
 #include <mutex>
@@ -392,6 +393,35 @@ TEST(ProtocolTest, SweepIgnoresWireHedgeField) {
       sweep_result(
           R"({"op":"sweep","workflow":"q6","nodes_list":[2,4,8],"hedge":true})"),
       sweep_result(R"({"op":"sweep","workflow":"q6","nodes_list":[2,4,8]})"));
+}
+
+TEST(ProtocolTest, InputsThatOnceAbortedTheWaterFillAnswerOk) {
+  // Both estimates reach the rate solver's water-fill with wants that fit a
+  // resource when summed in sorted order but not in input order; the
+  // resource is unsaturated and each request must answer.
+  struct Case {
+    const char* workflow;
+    double scale;
+    int nodes;
+  };
+  for (const Case& c : {Case{"WC-Q20", 0.2, 7}, Case{"TS-Q18", 1.0, 61}}) {
+    EstimationService service;
+    Result<NamedFlow> named = TableThreeFlow(c.workflow, c.scale);
+    ASSERT_TRUE(named.ok()) << named.status().ToString();
+    ASSERT_TRUE(
+        service.RegisterWorkflow(c.workflow, std::move(named).value().flow).ok());
+    Protocol protocol(&service);
+    const std::string response = protocol.HandleLine(
+        std::string(R"({"op":"estimate","workflow":")") + c.workflow +
+        R"(","nodes":)" + std::to_string(c.nodes) + "}");
+    Result<Json> parsed = Json::Parse(response);
+    ASSERT_TRUE(parsed.ok()) << response;
+    ASSERT_TRUE(parsed.value().GetBool("ok", false)) << response;
+    const double makespan =
+        parsed.value().Get("result")->GetNumber("makespan_s", 0.0);
+    EXPECT_TRUE(std::isfinite(makespan)) << response;
+    EXPECT_GT(makespan, 0.0) << response;
+  }
 }
 
 TEST(ProtocolTest, StatsAndDrainVerbs) {

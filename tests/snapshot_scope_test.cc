@@ -1,9 +1,9 @@
-// Scoped snapshot import (model/snapshot.h LoadWarmSnapshotForScope +
-// service LoadSnapshotForScope) and the graceful-drain final-save guarantee.
-// These are the router's warm-handoff building blocks: a shard rejoining the
-// fleet imports only its ring-assigned scope slice, an import for a scope
-// the shard does not own is refused with the warm state untouched, and a
-// draining shard always leaves a restorable snapshot behind.
+// Warm-state snapshots at the edges of a serving process's life: a corrupt
+// snapshot is rejected whole even when the target already holds warm state
+// (every key in a snapshot carries its cluster scope — see
+// TaskTimeMemo::Fingerprint — but import is all-or-nothing across scopes),
+// and a draining or shutting-down service always leaves a restorable
+// snapshot behind (`dagperf serve --snapshot-dir`).
 
 #include <gtest/gtest.h>
 
@@ -53,99 +53,17 @@ DagWorkflow TestFlow() {
 }
 
 // ---------------------------------------------------------------------------
-// Model layer: LoadWarmSnapshotForScope.
+// Model layer: whole-snapshot rejection.
 
-TEST(SnapshotScopeTest, ImportsOnlyTheRequestedScope) {
-  TempPath file("scope_slice");
-  TaskTimeMemo memo;
-  memo.Import({Entry("alpha#stage1", 1.0), Entry("alpha#stage2", 2.0),
-               Entry("beta#stage1", 3.0)});
-  PrefixCheckpointStore store;
-  ASSERT_TRUE(SaveWarmSnapshot(file.path, memo, store).ok());
-
-  TaskTimeMemo restored;
-  PrefixCheckpointStore restored_store;
-  SnapshotStats stats;
-  ASSERT_TRUE(LoadWarmSnapshotForScope(file.path, "alpha", &restored,
-                                       &restored_store, &stats)
-                  .ok());
-  EXPECT_EQ(stats.memo_entries, 2u);
-  const std::vector<TaskTimeMemo::ExportedEntry> entries = restored.Export();
-  ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0].key, "alpha#stage1");
-  EXPECT_EQ(entries[1].key, "alpha#stage2");
-}
-
-TEST(SnapshotScopeTest, ScopeIsAPrefixMatchOnWholeScopeOnly) {
-  // "alpha" must not pull in "alphabet#..." — the '#' separator is part of
-  // the match, exactly as TaskTimeMemo::Fingerprint writes it.
-  TempPath file("scope_boundary");
-  TaskTimeMemo memo;
-  memo.Import({Entry("alpha#x", 1.0), Entry("alphabet#x", 2.0)});
-  PrefixCheckpointStore store;
-  ASSERT_TRUE(SaveWarmSnapshot(file.path, memo, store).ok());
-
-  TaskTimeMemo restored;
-  PrefixCheckpointStore restored_store;
-  SnapshotStats stats;
-  ASSERT_TRUE(LoadWarmSnapshotForScope(file.path, "alpha", &restored,
-                                       &restored_store, &stats)
-                  .ok());
-  EXPECT_EQ(stats.memo_entries, 1u);
-  EXPECT_EQ(restored.Export()[0].key, "alpha#x");
-}
-
-TEST(SnapshotScopeTest, UnmatchedScopeImportsNothingButSucceeds) {
-  TempPath file("scope_empty");
-  TaskTimeMemo memo;
-  memo.Import({Entry("alpha#x", 1.0)});
-  PrefixCheckpointStore store;
-  ASSERT_TRUE(SaveWarmSnapshot(file.path, memo, store).ok());
-
-  TaskTimeMemo restored;
-  PrefixCheckpointStore restored_store;
-  SnapshotStats stats;
-  ASSERT_TRUE(LoadWarmSnapshotForScope(file.path, "gamma", &restored,
-                                       &restored_store, &stats)
-                  .ok());
-  EXPECT_EQ(stats.memo_entries, 0u);
-  EXPECT_EQ(restored.Export().size(), 0u);
-}
-
-TEST(SnapshotScopeTest, FirstWinsMergeIntoNonEmptyTarget) {
-  // A shard that already computed a key keeps its own answer: snapshot
-  // entries never overwrite live ones (the live entry is at least as fresh,
-  // and overwriting would make answers depend on import timing).
-  TempPath file("first_wins");
-  TaskTimeMemo donor;
-  donor.Import({Entry("alpha#shared", 99.0), Entry("alpha#new", 7.0)});
-  PrefixCheckpointStore store;
-  ASSERT_TRUE(SaveWarmSnapshot(file.path, donor, store).ok());
-
-  TaskTimeMemo target;
-  target.Import({Entry("alpha#shared", 1.0)});
-  PrefixCheckpointStore target_store;
-  ASSERT_TRUE(LoadWarmSnapshotForScope(file.path, "alpha", &target,
-                                       &target_store, nullptr)
-                  .ok());
-  const std::vector<TaskTimeMemo::ExportedEntry> entries = target.Export();
-  ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0].key, "alpha#new");
-  EXPECT_EQ(entries[0].time.seconds(), 7.0);
-  EXPECT_EQ(entries[1].key, "alpha#shared");
-  EXPECT_EQ(entries[1].time.seconds(), 1.0)
-      << "snapshot overwrote a live entry";
-}
-
-TEST(SnapshotScopeTest, CorruptSnapshotRejectsWholeEvenWithValidScopeSlice) {
+TEST(SnapshotScopeTest, CorruptSnapshotRejectsWholeIntoAWarmTarget) {
   TempPath file("corrupt");
   TaskTimeMemo memo;
   memo.Import({Entry("alpha#x", 1.0), Entry("beta#y", 2.0)});
   PrefixCheckpointStore store;
   ASSERT_TRUE(SaveWarmSnapshot(file.path, memo, store).ok());
 
-  // Flip one payload bit. Validation happens before the scope filter, so
-  // the load must refuse even though the "alpha" slice's bytes may be fine.
+  // Flip one payload bit. Validation happens before any entry is merged, so
+  // the load must refuse even though most entries' bytes are intact.
   {
     std::FILE* f = std::fopen(file.path.c_str(), "r+b");
     ASSERT_NE(f, nullptr);
@@ -160,42 +78,17 @@ TEST(SnapshotScopeTest, CorruptSnapshotRejectsWholeEvenWithValidScopeSlice) {
   restored.Import({Entry("pre#existing", 5.0)});
   PrefixCheckpointStore restored_store;
   const Status loaded =
-      LoadWarmSnapshotForScope(file.path, "alpha", &restored, &restored_store);
+      LoadWarmSnapshot(file.path, &restored, &restored_store);
   EXPECT_FALSE(loaded.ok());
   // Target untouched: still exactly the pre-existing entry.
   const std::vector<TaskTimeMemo::ExportedEntry> entries = restored.Export();
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].key, "pre#existing");
+  EXPECT_EQ(restored_store.stats().entries, 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Service layer: LoadSnapshotForScope + the graceful-drain final save.
-
-TEST(SnapshotScopeTest, ServiceRefusesScopeItDoesNotOwn) {
-  TempPath file("service_refuse");
-  // Donor shard: serve one estimate under the default scope, then save.
-  {
-    EstimationService donor;
-    ASSERT_TRUE(donor.RegisterWorkflow("q6", TestFlow()).ok());
-    ASSERT_TRUE(donor.Submit(EstimateRequest::For("q6")).get().ok());
-    ASSERT_TRUE(donor.SaveSnapshot(file.path).ok());
-  }
-
-  EstimationService service;
-  ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
-  const std::size_t entries_before = service.Stats().cache.entries;
-
-  // "ghost" is not a registered cluster scope on this shard: refusing keeps
-  // a misrouted warm-handoff from polluting the memo with keys the ring
-  // will never send this shard.
-  const Status refused = service.LoadSnapshotForScope(file.path, "ghost");
-  EXPECT_EQ(refused.code(), ErrorCode::kNotFound) << refused.ToString();
-  EXPECT_EQ(service.Stats().cache.entries, entries_before);
-
-  // The registered scope imports fine.
-  ASSERT_TRUE(service.LoadSnapshotForScope(file.path, "default").ok());
-  EXPECT_GT(service.Stats().cache.entries, entries_before);
-}
+// Service layer: the graceful-drain final save.
 
 TEST(SnapshotScopeTest, DrainAlwaysLeavesARestorableSnapshot) {
   TempPath file("drain_save");

@@ -23,10 +23,7 @@
 //                    [--grace-seconds G] [--breaker-threshold K]
 //                    [--read-idle-seconds I]
 //                    [--metrics-port P] [--slo-p99-ms MS] [--slo-availability F]
-//                    [--flight-out FILE.json] [--shard-id ID] [--port-file F]
-//   dagperf route    --shards N [--port P] [--dir DIR] [--scale S]
-//                    [--vnodes V] [--probe-interval-ms I] [--readmit-quorum Q]
-//                    [--max-in-flight K] [--port-file F] [--flight-out F]
+//                    [--flight-out FILE.json] [--port-file F]
 //   dagperf metrics  [--port P] [--prom]
 //   dagperf top      --port P [--interval-ms I] [--iterations N]
 //
@@ -42,15 +39,6 @@
 // UNAVAILABLE{retryable}, and the process exits 0. --breaker-threshold K
 // opens a per-cluster circuit breaker after K consecutive serving failures
 // (0 disables; default 8).
-//
-// `route` runs a multi-process fleet (src/router/): N child `dagperf serve`
-// shards behind a consistent-hash router on one TCP port. Requests route by
-// (cluster, workflow) so each shard's memo stays hot for its key range;
-// crashed shards are restarted from their per-shard snapshot dir and
-// readmitted after a health-check quorum (docs/robustness.md "Shard
-// fleets"). --dir holds per-shard state (snapshots, port files, logs).
-// SIGTERM drains the whole fleet gracefully: every shard saves its final
-// snapshot before exiting.
 //
 // --deadline-seconds bounds the wall-clock the estimator may spend; on
 // expiry the command exits 3 (sweeps print whatever candidates finished).
@@ -82,7 +70,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -92,12 +79,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include "common/cancel.h"
 #include "common/json.h"
@@ -112,7 +93,6 @@
 #include "obs/metrics.h"
 #include "obs/prom.h"
 #include "obs/trace.h"
-#include "router/router.h"
 #include "service/line_client.h"
 #include "service/metrics_http.h"
 #include "service/server.h"
@@ -216,7 +196,7 @@ struct Args {
 int Usage() {
   std::fprintf(stderr,
                "usage: dagperf <list|export|simulate|estimate|explain|compare|"
-               "sweep|tune|serve|route|metrics|top> "
+               "sweep|tune|serve|metrics|top> "
                "[--flow NAME | --spec FILE.json] [--job WC|TS|TSC|TS2R|TS3R] "
                "[--scale S] [--nodes N] [--seed K] [--input-gb G] [--baseline R] "
                "[--reducers 8,16,32] [--nodes-list 2,4,8] [--threads N] "
@@ -229,9 +209,7 @@ int Usage() {
                "[--read-idle-seconds I] "
                "[--overload-target-ms T] [--snapshot-dir DIR] "
                "[--snapshot-interval-seconds S] "
-               "[--shard-id ID] [--port-file F] [--shards N] [--dir DIR] "
-               "[--vnodes V] [--probe-interval-ms I] [--readmit-quorum Q] "
-               "[--max-in-flight K] "
+               "[--port-file F] "
                "[--metrics-port P] [--slo-p99-ms MS] [--slo-availability F] "
                "[--flight-out F] [--prom] [--interval-ms I] [--iterations N]\n");
   return 2;
@@ -752,10 +730,8 @@ int CmdServe(const Args& args) {
   }
   const double snapshot_interval =
       args.GetDouble("snapshot-interval-seconds", 30.0);
-  // Shard mode (router/router.h): --shard-id is echoed in stats for fleet
-  // attribution; --port-file publishes the bound port for the supervisor
+  // --port-file publishes the bound port for whatever launched the process
   // (written atomically, so a reader never sees a torn value).
-  options.shard_id = args.Get("shard-id", "");
   const std::string port_file = args.Get("port-file", "");
   options.slo.p99_ms = args.GetDouble("slo-p99-ms", 0.0);
   options.slo.availability = args.GetDouble("slo-availability", 0.0);
@@ -947,129 +923,6 @@ int CmdServe(const Args& args) {
     std::fprintf(stderr, "wrote %s\n", flight_path.c_str());
   }
   return rc;
-}
-
-/// The dagperf binary to exec shard children with: $DAGPERF_BIN when set
-/// (tests point it at the built CLI), else this very binary via
-/// /proc/self/exe.
-std::string SelfBinaryPath() {
-  if (const char* env = std::getenv("DAGPERF_BIN");
-      env != nullptr && env[0] != '\0') {
-    return env;
-  }
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n > 0) {
-    buf[n] = '\0';
-    return buf;
-  }
-  return "dagperf";
-}
-
-/// Multi-process shard fleet: a consistent-hash router fronting N child
-/// `dagperf serve` shards (router/router.h). Shard state lives under
-/// --dir: per-shard snapshot dirs (warm restarts), port files, and logs.
-int CmdRoute(const Args& args) {
-  const int shards = args.GetInt("shards", 3);
-  if (shards < 1) {
-    return Fail(Status::InvalidArgument("--shards must be >= 1"));
-  }
-  const std::string dir = args.Get("dir", ".dagperf-fleet");
-  ::mkdir(dir.c_str(), 0755);
-
-  const std::string binary = SelfBinaryPath();
-  const double scale = args.GetDouble("scale", 1.0);
-  const int threads = args.GetInt("threads", 0);
-  const double snapshot_interval =
-      args.GetDouble("snapshot-interval-seconds", 5.0);
-
-  std::vector<router::ShardSpec> specs;
-  for (int i = 0; i < shards; ++i) {
-    const std::string shard_id = "shard-" + std::to_string(i);
-    const std::string shard_dir = dir + "/" + shard_id;
-    ::mkdir(shard_dir.c_str(), 0755);
-    router::ShardSpec spec;
-    spec.shard_id = shard_id;
-    spec.port_file = dir + "/" + shard_id + ".port";
-    spec.stderr_file = dir + "/" + shard_id + ".log";
-    spec.command = {binary,
-                    "serve",
-                    "--port",
-                    "0",
-                    "--port-file",
-                    spec.port_file,
-                    "--shard-id",
-                    shard_id,
-                    "--snapshot-dir",
-                    shard_dir,
-                    "--scale",
-                    std::to_string(scale),
-                    "--snapshot-interval-seconds",
-                    std::to_string(snapshot_interval)};
-    if (threads > 0) {
-      spec.command.push_back("--threads");
-      spec.command.push_back(std::to_string(threads));
-    }
-    specs.push_back(std::move(spec));
-  }
-
-  router::RouterOptions options;
-  options.port = args.GetInt("port", 0);
-  options.vnodes = args.GetInt("vnodes", 128);
-  options.max_in_flight_per_shard = args.GetInt("max-in-flight", 64);
-  options.probe_interval_seconds =
-      args.GetDouble("probe-interval-ms", 50.0) / 1000.0;
-  options.readmit_quorum = args.GetInt("readmit-quorum", 2);
-  options.drain_grace_seconds = args.GetDouble("grace-seconds", 5.0);
-  options.stop = ServeStopToken();
-  const std::string port_file = args.Get("port-file", "");
-  options.on_listen = [&port_file](int port) {
-    std::fprintf(stderr, "router listening on 127.0.0.1:%d\n", port);
-    if (!port_file.empty()) {
-      const std::string tmp = port_file + ".tmp";
-      std::ofstream out(tmp);
-      if (out) {
-        out << port << "\n";
-        out.close();
-        (void)::rename(tmp.c_str(), port_file.c_str());
-      }
-    }
-  };
-
-  obs::SetMetricsEnabled(true);
-  std::fprintf(stderr, "dagperf route: %d shards under %s (scale %g)\n",
-               shards, dir.c_str(), scale);
-
-  router::Router fleet(std::move(specs), options);
-  std::signal(SIGTERM, HandleServeSignal);
-  std::signal(SIGINT, HandleServeSignal);
-  Result<router::RouterSummary> served = fleet.Serve();
-  std::signal(SIGTERM, SIG_DFL);
-  std::signal(SIGINT, SIG_DFL);
-
-  const std::string flight_path = args.Get("flight-out", "");
-  if (!flight_path.empty()) {
-    std::ofstream out(flight_path);
-    if (out) {
-      out << fleet.flight_recorder().ToJson() << "\n";
-      std::fprintf(stderr, "wrote %s\n", flight_path.c_str());
-    } else {
-      std::fprintf(stderr, "cannot open %s\n", flight_path.c_str());
-    }
-  }
-
-  if (!served.ok()) return Fail(served.status());
-  const router::RouterSummary& summary = served.value();
-  std::fprintf(stderr,
-               "routed %llu requests over %llu connections "
-               "(%llu reroutes, %llu restarts, %llu sheds; %s)\n",
-               static_cast<unsigned long long>(summary.requests),
-               static_cast<unsigned long long>(summary.connections),
-               static_cast<unsigned long long>(summary.reroutes),
-               static_cast<unsigned long long>(summary.restarts),
-               static_cast<unsigned long long>(summary.sheds),
-               summary.stopped ? "stopped by signal" : "drained");
-  return kExitOk;
 }
 
 /// Connects to a local `dagperf serve --port` server, sends one request
@@ -1278,8 +1131,6 @@ int Main(int argc, char** argv) {
       rc = CmdTune(args);
     } else if (args.command == "serve") {
       rc = CmdServe(args);
-    } else if (args.command == "route") {
-      rc = CmdRoute(args);
     } else if (args.command == "metrics") {
       rc = CmdMetrics(args);
     } else if (args.command == "top") {
