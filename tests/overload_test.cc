@@ -399,6 +399,36 @@ TEST(ServiceBrownoutTest, StateCapFailuresAreRewrittenRetryable) {
       << capped.status().message();
 }
 
+TEST(ServiceBrownoutTest, SweepIsShedWhileAWarmRepeatIsServed) {
+  ServiceOptions options = ArmedOptions();
+  options.expensive_job_threshold = 1000;  // q6 alone classifies cheap...
+  EstimationService service(options);
+  ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
+  OverloadController* controller = service.overload_controller();
+  ASSERT_NE(controller, nullptr);
+
+  controller->ForceLevelForTest(0);
+  ASSERT_TRUE(ServeEstimate(service, EstimateRequest::For("q6")).ok());
+
+  // ...but a sweep is always expensive work, so level 1 sheds it while the
+  // warm repeat estimate is still served.
+  controller->ForceLevelForTest(1);
+  Result<ServiceSweepResult> sweep =
+      ServeSweep(service, EstimateRequest::For("q6").SweepNodes({2, 4}));
+  ASSERT_FALSE(sweep.ok());
+  EXPECT_EQ(sweep.status().code(), ErrorCode::kResourceExhausted);
+  EXPECT_GT(sweep.status().retry_after_ms(), 0.0);
+
+  Result<WorkflowEstimate> warm = ServeEstimate(service, EstimateRequest::For("q6"));
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_TRUE(warm.value().degraded);
+
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.overload_shed, 1u);
+  EXPECT_EQ(stats.shed, 1u);
+  EXPECT_EQ(stats.completed, 2u);
+}
+
 TEST(ServiceBrownoutTest, PerTenantStatsFlowThroughService) {
   EstimationService service;
   ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());

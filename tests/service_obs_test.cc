@@ -13,6 +13,7 @@
 
 #include <chrono>
 #include <future>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -224,6 +225,36 @@ TEST(ServiceObsTest, FailedRequestPinnedAsErrorExemplar) {
   ASSERT_EQ(dump.errors.size(), 1u);
   EXPECT_FALSE(dump.errors.front().ok);
   EXPECT_NE(dump.errors.front().outcome_code, 0);
+}
+
+TEST(ServiceObsTest, SweepRecordNamesResolvedFlowAndCountsAsSweep) {
+  ScopedMetrics on;
+  EstimationService service;
+  auto flow = std::make_shared<const DagWorkflow>(TestFlow());
+  ASSERT_FALSE(flow->name().empty());
+
+  Result<ServiceSweepResult> served =
+      ServeSweep(service, EstimateRequest::For(flow).SweepNodes({2, 4}));
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+
+  const obs::SloTracker::Report slo = service.slo_tracker().Snapshot();
+  EXPECT_EQ(slo.by_class[static_cast<std::size_t>(obs::OpClass::kSweep)]
+                .windows[0]
+                .count,
+            1u);
+  EXPECT_EQ(slo.by_class[static_cast<std::size_t>(obs::OpClass::kEstimate)]
+                .windows[0]
+                .count,
+            0u);
+
+  const obs::FlightRecorder::Dump dump = service.flight_recorder().Snapshot();
+  ASSERT_EQ(dump.records.size(), 1u);
+  const obs::RequestRecord& record = dump.records.front();
+  EXPECT_STREQ(record.op, "sweep");
+  EXPECT_TRUE(record.ok);
+  // An inline-flow sweep names the flow it resolved, as an estimate does.
+  EXPECT_EQ(std::string(record.workflow), flow->name());
+  EXPECT_STREQ(record.cluster, "default");
 }
 
 TEST(ServiceObsTest, SloAndFlightVerbsOverServeLines) {
