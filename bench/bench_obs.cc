@@ -8,7 +8,7 @@
 //             (an epoch-tagged bucket increment), and
 //             SloTracker::RecordOutcome (op-class fan-out over windows).
 //   baseline— the warm serving path with observability disarmed: req/s,
-//             p50, p99.
+//             p50, p99, over at least kMinBaselineRequests requests.
 //   armed   — the same workload with metrics on, SLO objectives set, and
 //             the flight recorder capturing every request.
 //
@@ -101,12 +101,18 @@ RunResult DriveClients(EstimationService& service, int clients, int per_client,
 
 Json RunJson(RunResult& run) {
   Json doc = Json::MakeObject();
+  doc.Set("requests", Json::MakeNumber(static_cast<double>(run.latencies.size())));
   doc.Set("requests_per_sec", Json::MakeNumber(run.Rps()));
   doc.Set("p50_ms", Json::MakeNumber(run.QuantileMs(0.50)));
   doc.Set("p99_ms", Json::MakeNumber(run.QuantileMs(0.99)));
   doc.Set("failed", Json::MakeNumber(static_cast<double>(run.failed)));
   return doc;
 }
+
+/// The armed gate divides nanoseconds of hooks by the baseline p50, so the
+/// baseline runs at least this many requests whatever the argv: a p50 over
+/// the smoke test's 2x16 requests ranged 12-30 us from run to run.
+constexpr int kMinBaselineRequests = 1024;
 
 /// Timed repeats per hook loop; MeasureNs reports the fastest.
 constexpr int kMicroRepeats = 5;
@@ -236,13 +242,16 @@ int Main(int argc, char** argv) {
   // --- baseline: observability disarmed (the library default).
   RunResult baseline;
   {
+    const int baseline_per_client = std::max(
+        per_client, (kMinBaselineRequests + clients - 1) / std::max(1, clients));
     std::unique_ptr<EstimationService> service = build_service(false);
     (void)DriveClients(*service, clients, per_client / 4 + 1, names);
-    baseline = DriveClients(*service, clients, per_client, names);
+    baseline = DriveClients(*service, clients, baseline_per_client, names);
   }
-  std::printf("baseline (disarmed): %8.1f req/s  p50 %6.3f ms  p99 %6.3f ms\n",
+  std::printf("baseline (disarmed): %8.1f req/s  p50 %6.3f ms  p99 %6.3f ms  "
+              "(%zu requests)\n",
               baseline.Rps(), baseline.QuantileMs(0.50),
-              baseline.QuantileMs(0.99));
+              baseline.QuantileMs(0.99), baseline.latencies.size());
 
   // --- armed: metrics on, SLO objectives set, every request recorded.
   RunResult armed;

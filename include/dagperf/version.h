@@ -10,9 +10,9 @@
 ///     // one submission path: EstimationService::Submit(EstimateRequest)
 ///   #endif
 #define DAGPERF_VERSION_MAJOR 0
-#define DAGPERF_VERSION_MINOR 11
+#define DAGPERF_VERSION_MINOR 12
 
 /// "MAJOR.MINOR" as a string literal.
-#define DAGPERF_VERSION_STRING "0.11"
+#define DAGPERF_VERSION_STRING "0.12"
 
 #endif  // DAGPERF_VERSION_H_

@@ -140,7 +140,7 @@ class EstimateRequest {
   bool is_sweep() const { return !nodes_list_.empty(); }
 
  private:
-  /// The service lowers a request into the form its execution path runs.
+  /// The service reads the fields directly on its one request path.
   friend class EstimationService;
 
   std::string workflow_;

@@ -131,21 +131,31 @@ class AbandonPollSource : public TaskTimeSource {
 
 }  // namespace
 
+/// One request from submission to fulfilment: the caller's promise, the
+/// tenant its slot is charged to, and its RequestRecord (armed only while
+/// request observability is on). Shared by the pool task or, for a coalesce
+/// waiter, by the group it is parked in.
+struct EstimationService::Ticket {
+  std::promise<Result<EstimateResponse>> promise;
+  std::string tenant;
+  obs::RequestRecord record;
+  bool observe = false;
+  /// When the request was handed off (pool enqueue or coalesce attach):
+  /// queue wait and overload sojourn are measured from here.
+  double submit_us = 0.0;
+};
+
 /// One in-flight singleflight computation: the leader's abandon signal, the
 /// caller tokens of every member, and the requests parked on the result.
 /// Mutable state is guarded by EstimationService::coalesce_mutex_.
 struct EstimationService::CoalesceGroup {
   /// One attached request, parked until the leader resolves.
   struct Waiter {
-    std::function<void(Result<WorkflowEstimate>)> done;
+    std::shared_ptr<Ticket> ticket;
     /// The waiter's own signals (caller cancel + shutdown link + deadline)
     /// — what fulfilment checks before handing over the leader's answer.
     Budget budget;
     std::string workflow;
-    std::string tenant;
-    obs::RequestRecord record;
-    bool observe = false;
-    double submit_us = 0.0;
   };
 
   std::string key;
@@ -183,6 +193,13 @@ struct EstimationService::ClusterEntry {
 
   ClusterEntry(const ClusterEntry&) = delete;
   ClusterEntry& operator=(const ClusterEntry&) = delete;
+};
+
+struct EstimationService::Resolved {
+  std::shared_ptr<const DagWorkflow> flow;
+  /// The registered name, or the inline flow's own name.
+  std::string workflow;
+  std::shared_ptr<const ClusterEntry> cluster;
 };
 
 EstimationService::EstimationService(ServiceOptions options)
@@ -274,53 +291,46 @@ std::vector<std::string> EstimationService::WorkflowNames() const {
   return names;
 }
 
-Result<std::shared_ptr<const DagWorkflow>> EstimationService::ResolveFlow(
-    const std::string& name, const std::shared_ptr<const DagWorkflow>& inline_flow,
-    std::string* resolved_name) const {
-  if (inline_flow != nullptr) {
-    *resolved_name = inline_flow->name();
-    return inline_flow;
-  }
-  if (name.empty()) {
+Result<EstimationService::Resolved> EstimationService::Resolve(
+    const EstimateRequest& request) const {
+  Resolved resolved;
+  if (request.flow_ != nullptr) {
+    resolved.flow = request.flow_;
+    resolved.workflow = request.flow_->name();
+  } else if (request.workflow_.empty()) {
     return Status::InvalidArgument("request names no workflow");
   }
+  const std::string cluster =
+      request.cluster_.empty() ? "default" : request.cluster_;
   std::shared_lock lock(registry_mutex_);
-  auto it = workflows_.find(name);
-  if (it == workflows_.end()) {
-    return Status::NotFound("workflow not registered: " + name);
+  if (resolved.flow == nullptr) {
+    auto it = workflows_.find(request.workflow_);
+    if (it == workflows_.end()) {
+      return Status::NotFound("workflow not registered: " + request.workflow_);
+    }
+    resolved.flow = it->second;
+    resolved.workflow = request.workflow_;
   }
-  *resolved_name = name;
-  return it->second;
-}
-
-Result<std::shared_ptr<const EstimationService::ClusterEntry>>
-EstimationService::ResolveCluster(const std::string& name) const {
-  const std::string& key = name.empty() ? std::string("default") : name;
-  std::shared_lock lock(registry_mutex_);
-  auto it = clusters_.find(key);
+  auto it = clusters_.find(cluster);
   if (it == clusters_.end()) {
-    return Status::NotFound("cluster not registered: " + key);
+    return Status::NotFound("cluster not registered: " + cluster);
   }
-  return it->second;
+  resolved.cluster = it->second;
+  return resolved;
 }
 
 EstimationService::CostClass EstimationService::ClassifyCost(
-    const ServiceRequest& request) const {
-  std::string name;
-  Result<std::shared_ptr<const DagWorkflow>> flow =
-      ResolveFlow(request.workflow, request.flow, &name);
-  if (!flow.ok()) return CostClass::kCheap;
-  Result<std::shared_ptr<const ClusterEntry>> cluster =
-      ResolveCluster(request.cluster);
-  if (!cluster.ok()) return CostClass::kCheap;
+    const EstimateRequest& request) const {
+  Result<Resolved> resolved = Resolve(request);
+  if (!resolved.ok()) return CostClass::kCheap;
   {
     std::lock_guard<std::mutex> lock(warm_mutex_);
-    if (warm_keys_.count(WarmKey(cluster.value()->scope, name, request.nodes)) >
-        0) {
+    if (warm_keys_.count(WarmKey(resolved->cluster->scope, resolved->workflow,
+                                 request.nodes_)) > 0) {
       return CostClass::kWarm;
     }
   }
-  return flow.value()->num_jobs() >= options_.expensive_job_threshold
+  return resolved->flow->num_jobs() >= options_.expensive_job_threshold
              ? CostClass::kExpensive
              : CostClass::kCheap;
 }
@@ -402,22 +412,14 @@ void EstimationService::ReleaseSlot() {
   Metrics().queue_depth.Set(depth);
 }
 
-Result<WorkflowEstimate> EstimationService::Execute(
-    const ServiceRequest& request, double submit_us, obs::RequestRecord* record,
-    const std::shared_ptr<CoalesceGroup>& group) {
-  const double start_us = obs::MonotonicUs();
-  if (record != nullptr) record->start_us = start_us;
-  // Feed the overload controller the queue sojourn every dequeued request
-  // observed — including ones about to expire; their wait is exactly the
-  // signal the controller exists to see.
-  if (overload_ != nullptr) {
-    overload_->ObserveSojourn((start_us - submit_us) * 1e-3, start_us);
-  }
+Result<EstimateResponse> EstimationService::Execute(
+    const EstimateRequest& request, double submit_us, double start_us,
+    obs::RequestRecord* record, const std::shared_ptr<CoalesceGroup>& group) {
   const int brownout = overload_ != nullptr ? overload_->level() : 0;
   // A request can spend its whole budget waiting in the queue; detect that
   // here so an expired request costs a check, not an estimate.
-  if (request.budget.exhausted()) {
-    Status status = request.budget.Check("serve " + request.workflow);
+  if (request.budget_.exhausted()) {
+    Status status = request.budget_.Check("serve " + request.workflow_);
     if (status.code() == ErrorCode::kDeadlineExceeded) {
       expired_in_queue_.fetch_add(1, std::memory_order_relaxed);
       Metrics().expired_in_queue.Add(1);
@@ -426,14 +428,10 @@ Result<WorkflowEstimate> EstimationService::Execute(
     return status;
   }
 
-  std::string workflow_name;
-  Result<std::shared_ptr<const DagWorkflow>> flow =
-      ResolveFlow(request.workflow, request.flow, &workflow_name);
-  if (!flow.ok()) return flow.status();
-  Result<std::shared_ptr<const ClusterEntry>> cluster =
-      ResolveCluster(request.cluster);
-  if (!cluster.ok()) return cluster.status();
-  const ClusterEntry& entry = **cluster;
+  Result<Resolved> resolved = Resolve(request);
+  if (!resolved.ok()) return resolved.status();
+  const std::string& workflow_name = resolved->workflow;
+  const ClusterEntry& entry = *resolved->cluster;
   if (record != nullptr) {
     record->set_workflow(workflow_name);
     record->set_cluster(entry.name);
@@ -450,7 +448,7 @@ Result<WorkflowEstimate> EstimationService::Execute(
     }
   }
 
-  Result<WorkflowEstimate> result = [&]() -> Result<WorkflowEstimate> {
+  Result<EstimateResponse> result = [&]() -> Result<EstimateResponse> {
     if (Status injected = resilience::InjectAt(ExecuteFault()); !injected.ok()) {
       return injected;
     }
@@ -465,12 +463,12 @@ Result<WorkflowEstimate> EstimationService::Execute(
     }
 
     ClusterSpec spec = entry.spec;
-    if (request.nodes > 0) spec.num_nodes = request.nodes;
+    if (request.nodes_ > 0) spec.num_nodes = request.nodes_;
 
     EstimatorOptions estimator_options = options_.estimator;
-    estimator_options.budget = request.budget;
+    estimator_options.budget = request.budget_;
     estimator_options.attribute_bottlenecks =
-        request.explain || estimator_options.attribute_bottlenecks;
+        request.explain_ || estimator_options.attribute_bottlenecks;
     // Brownout overlay (the resilience/overload.h ladder): level >= 1 drops
     // bottleneck attribution, level >= 2 additionally caps the state budget.
     // The answer is tagged degraded below so clients can re-query later.
@@ -509,7 +507,7 @@ Result<WorkflowEstimate> EstimationService::Execute(
     const MemoizedTaskTimeSource cached(*source, &memo_, entry.scope);
     const StateBasedEstimator estimator(spec, options_.scheduler,
                                         estimator_options);
-    Result<DagEstimate> estimate = estimator.Estimate(**flow, cached);
+    Result<DagEstimate> estimate = estimator.Estimate(*resolved->flow, cached);
     if (!estimate.ok()) {
       Status status = estimate.status();
       // A brownout state cap is the server's doing, not the workflow's:
@@ -527,19 +525,20 @@ Result<WorkflowEstimate> EstimationService::Execute(
       return status;
     }
 
-    WorkflowEstimate served;
+    EstimateResponse response;
+    WorkflowEstimate& served = response.estimate.emplace();
     served.estimate = std::move(estimate).value();
-    if (request.explain && brownout < 1) {
+    if (request.explain_ && brownout < 1) {
       served.critical_path = CriticalPath(served.estimate);
     }
-    served.flow = std::move(flow).value();
-    served.workflow = std::move(workflow_name);
+    served.flow = resolved->flow;
+    served.workflow = workflow_name;
     served.cluster = entry.name;
     served.degraded = brownout >= 1;
     served.degrade_level = brownout;
     // This triple now answers from warm state: cost classification stops
     // shedding it and brownout level 3 keeps serving it.
-    MarkWarm(WarmKey(entry.scope, served.workflow, request.nodes));
+    MarkWarm(WarmKey(entry.scope, served.workflow, request.nodes_));
     const double end_us = obs::MonotonicUs();
     served.queue_wait_ms = (start_us - submit_us) * 1e-3;
     served.service_ms = (end_us - start_us) * 1e-3;
@@ -564,12 +563,12 @@ Result<WorkflowEstimate> EstimationService::Execute(
         Metrics().path_full_replay.Add(1);
       }
     }
-    return served;
+    return response;
   }();
 
   // kCancelled is neutral to the breaker (Record releases the probe slot
-  // without judging the path); the shutdown rewrite happens in the submit
-  // closure, after this record, so a shutdown burst cannot open it.
+  // without judging the path); the shutdown rewrite happens in Finish,
+  // after this record, so a shutdown burst cannot open it.
   if (breaker != nullptr) breaker->Record(result.status());
   return result;
 }
@@ -611,24 +610,19 @@ Status EstimationService::MapCancelCause(const Status& status) const {
   return status;
 }
 
-std::string EstimationService::CoalesceKey(const ServiceRequest& request) const {
-  std::string workflow_name;
-  Result<std::shared_ptr<const DagWorkflow>> flow =
-      ResolveFlow(request.workflow, request.flow, &workflow_name);
-  if (!flow.ok()) return std::string();
-  Result<std::shared_ptr<const ClusterEntry>> cluster =
-      ResolveCluster(request.cluster);
-  if (!cluster.ok()) return std::string();
-  const ClusterEntry& entry = **cluster;
+std::string EstimationService::CoalesceKey(const EstimateRequest& request) const {
+  Result<Resolved> resolved = Resolve(request);
+  if (!resolved.ok()) return std::string();
+  const ClusterEntry& entry = *resolved->cluster;
 
   // The same effective inputs Execute derives: node override folded into the
   // spec, explain folded into attribution. Two requests with equal keys run
   // the estimator over identical inputs and produce identical bits.
   ClusterSpec spec = entry.spec;
-  if (request.nodes > 0) spec.num_nodes = request.nodes;
+  if (request.nodes_ > 0) spec.num_nodes = request.nodes_;
   EstimatorOptions estimator_options = options_.estimator;
   estimator_options.attribute_bottlenecks =
-      request.explain || estimator_options.attribute_bottlenecks;
+      request.explain_ || estimator_options.attribute_bottlenecks;
 
   std::string key;
   key.reserve(256);
@@ -637,12 +631,12 @@ std::string EstimationService::CoalesceKey(const ServiceRequest& request) const 
   // coalesce into a response naming the wrong one.
   key += entry.name;
   key += '\x1f';
-  key += workflow_name;
+  key += resolved->workflow;
   key += '\x1f';
-  key += request.explain ? '\1' : '\0';
+  key += request.explain_ ? '\1' : '\0';
   PrefixCheckpointStore::AppendGlobalFingerprint(
       entry.scope, spec, options_.scheduler, estimator_options, &key);
-  const DagWorkflow& dag = **flow;
+  const DagWorkflow& dag = *resolved->flow;
   for (JobId id = 0; id < dag.num_jobs(); ++id) {
     PrefixCheckpointStore::AppendJobFingerprint(dag, id, &key);
   }
@@ -651,7 +645,7 @@ std::string EstimationService::CoalesceKey(const ServiceRequest& request) const 
 
 void EstimationService::FulfillWaiters(
     const std::shared_ptr<CoalesceGroup>& group,
-    const Result<WorkflowEstimate>& leader_result) {
+    const Result<EstimateResponse>& leader_result) {
   std::vector<CoalesceGroup::Waiter> waiters;
   {
     // Erase before fulfilling: a request that finds the entry always
@@ -664,19 +658,20 @@ void EstimationService::FulfillWaiters(
   coalesce_leaders_.fetch_add(1, std::memory_order_relaxed);
   const double now_us = obs::MonotonicUs();
   for (CoalesceGroup::Waiter& waiter : waiters) {
-    Result<WorkflowEstimate> result = [&]() -> Result<WorkflowEstimate> {
+    Ticket& ticket = *waiter.ticket;
+    Result<EstimateResponse> result = [&]() -> Result<EstimateResponse> {
       // The waiter's own budget first: its cancel/deadline outcome is its
       // own regardless of how the leader fared.
       if (waiter.budget.exhausted()) {
-        return MapCancelCause(waiter.budget.Check("serve " + waiter.workflow));
+        return waiter.budget.Check("serve " + waiter.workflow);
       }
       if (leader_result.ok()) {
-        WorkflowEstimate copy = leader_result.value();
-        copy.coalesced = true;
+        EstimateResponse copy = leader_result.value();
+        copy.estimate->coalesced = true;
         // The waiter's timing is its own: it waited from its submission to
         // this fulfilment and ran zero estimator states.
-        copy.queue_wait_ms = (now_us - waiter.submit_us) * 1e-3;
-        copy.service_ms = 0.0;
+        copy.estimate->queue_wait_ms = (now_us - ticket.submit_us) * 1e-3;
+        copy.estimate->service_ms = 0.0;
         return copy;
       }
       const ErrorCode code = leader_result.status().code();
@@ -695,105 +690,119 @@ void EstimationService::FulfillWaiters(
       return leader_result.status();
     }();
 
-    // Per-waiter accounting mirrors a normal request with zero execution:
-    // tenant EMA sees free work, the flight/SLO records carry the waiter's
-    // own wait, and its admission slot releases here.
-    tenants_->OnExecuteStart(waiter.tenant);
-    tenants_->OnDone(waiter.tenant, result.ok(), 0.0);
+    // A waiter finishes like a normal request with zero execution: the
+    // tenant EMA sees free work, its record carries its own wait, and its
+    // admission slot releases in Finish.
+    tenants_->OnExecuteStart(ticket.tenant);
+    ticket.record.start_us = now_us;
     if (result.ok()) {
-      completed_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().completed.Add(1);
       Metrics().path_coalesced.Add(1);
-    } else {
-      failed_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().failed.Add(1);
-    }
-    if (waiter.observe) {
-      waiter.record.start_us = now_us;
-      waiter.record.end_us = obs::MonotonicUs();
-      waiter.record.ok = result.ok();
-      waiter.record.outcome_code =
-          static_cast<std::uint8_t>(result.status().code());
-      waiter.record.deadline_met =
-          !waiter.record.had_deadline ||
-          result.status().code() != ErrorCode::kDeadlineExceeded;
-      if (result.ok()) {
-        waiter.record.path = obs::RequestPath::kCoalesced;
-        waiter.record.set_workflow(result.value().workflow);
-        waiter.record.set_cluster(result.value().cluster);
+      if (ticket.observe) {
+        ticket.record.path = obs::RequestPath::kCoalesced;
+        ticket.record.set_workflow(result.value().estimate->workflow);
+        ticket.record.set_cluster(result.value().estimate->cluster);
       }
-      flight_.Record(waiter.record);
-      slo_.RecordOutcome(obs::OpClassFor(waiter.record.op),
-                         waiter.record.total_us() * 1e-3, waiter.record.ok,
-                         waiter.record.had_deadline,
-                         waiter.record.deadline_met);
     }
-    ReleaseSlot();
-    waiter.done(std::move(result));
+    Finish(ticket, std::move(result), 0.0, nullptr);
   }
 }
 
-void EstimationService::SubmitEstimateImpl(
-    ServiceRequest request, std::function<void(Result<WorkflowEstimate>)> done) {
+void EstimationService::CloseRecord(Ticket& ticket, const Status& status) {
+  if (!ticket.observe) return;
+  obs::RequestRecord& record = ticket.record;
+  record.end_us = obs::MonotonicUs();
+  // A request rejected at admission never started: no queue wait, no work.
+  if (record.start_us == 0.0) record.start_us = record.end_us;
+  record.ok = status.ok();
+  record.outcome_code = static_cast<std::uint8_t>(status.code());
+  record.deadline_met = !record.had_deadline ||
+                        status.code() != ErrorCode::kDeadlineExceeded;
+  flight_.Record(record);
+  slo_.RecordOutcome(obs::OpClassFor(record.op), record.total_us() * 1e-3,
+                     record.ok, record.had_deadline, record.deadline_met);
+}
+
+void EstimationService::Finish(Ticket& ticket, Result<EstimateResponse> result,
+                               double exec_ms,
+                               const std::shared_ptr<CoalesceGroup>& group) {
+  if (!result.ok()) result = MapCancelCause(result.status());
+  // Execution time only (not queue wait): the EMA this feeds prices the
+  // tenant's future admissions, and waiting is not the tenant's cost.
+  tenants_->OnDone(ticket.tenant, result.ok(), exec_ms);
+  if (result.ok()) {
+    completed_.fetch_add(1, std::memory_order_relaxed);
+    Metrics().completed.Add(1);
+  } else {
+    failed_.fetch_add(1, std::memory_order_relaxed);
+    Metrics().failed.Add(1);
+  }
+  Metrics().cache_hit_rate.Set(memo_.stats().hit_rate());
+  CloseRecord(ticket, result.status());
+  ReleaseSlot();
+  // Waiters resolve before the leader's own promise, so a caller that sees
+  // the leader's answer sees every attached request finished too.
+  if (group != nullptr) FulfillWaiters(group, result);
+  ticket.promise.set_value(std::move(result));
+}
+
+std::future<Result<EstimateResponse>> EstimationService::Submit(
+    EstimateRequest request) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
   Metrics().submitted.Add(1);
 
-  // Request observability is armed with the metrics flag: when off, `record`
-  // stays a dead stack object and every recording site below is skipped —
-  // the disarmed cost is this one relaxed load (plus the zero-init).
-  const bool observe = obs::MetricsEnabled();
-  obs::RequestRecord record;
-  if (observe) {
+  // Request observability is armed with the metrics flag: when off, the
+  // record stays a dead object and every recording site is skipped — the
+  // disarmed cost is this one relaxed load (plus the zero-init).
+  auto ticket = std::make_shared<Ticket>();
+  ticket->observe = obs::MetricsEnabled();
+  if (ticket->observe) {
+    obs::RequestRecord& record = ticket->record;
     record.id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
-    record.set_op(request.explain ? "explain" : "estimate");
-    record.set_workflow(request.workflow);
-    record.set_cluster(request.cluster);
+    record.set_op(request.is_sweep()  ? "sweep"
+                  : request.explain_ ? "explain"
+                                     : "estimate");
+    record.set_workflow(request.workflow_);
+    record.set_cluster(request.cluster_);
     record.submit_us = obs::MonotonicUs();
   }
-  // Synchronous rejections (draining / shed) still leave a record: error
-  // rates and the flight recorder must see the requests that never ran.
-  const auto reject = [&](Status status) {
-    if (observe) {
-      record.start_us = record.end_us = obs::MonotonicUs();
-      record.ok = false;
-      record.outcome_code = static_cast<std::uint8_t>(status.code());
-      record.shed = status.code() == ErrorCode::kResourceExhausted;
-      flight_.Record(record);
-      slo_.RecordOutcome(obs::OpClassFor(record.op), record.total_us() * 1e-3,
-                         false, false, true);
-    }
-    done(Result<WorkflowEstimate>(std::move(status)));
-  };
+  std::future<Result<EstimateResponse>> future = ticket->promise.get_future();
+  ticket->tenant = TenantRegistry::Canonical(request.tenant_);
 
   // Shared lock: many Submits run concurrently; Drain's unique lock ensures
   // no Submit is between the draining check and the pool enqueue when the
   // pool starts waiting.
   std::shared_lock admission(admission_mutex_);
-  if (draining_.load(std::memory_order_acquire)) {
-    reject(Status::FailedPrecondition("service is draining"));
-    return;
-  }
-  const std::string tenant = TenantRegistry::Canonical(request.tenant);
-  if (Status admitted = Admit(tenant, ClassifyCost(request)); !admitted.ok()) {
-    reject(std::move(admitted));
-    return;
+  // A sweep is many estimates on one slot — always expensive work to the
+  // overload controller, so brownout sheds batch capacity-planning first.
+  Status admitted = draining_.load(std::memory_order_acquire)
+                        ? Status::FailedPrecondition("service is draining")
+                        : Admit(ticket->tenant, request.is_sweep()
+                                                    ? CostClass::kExpensive
+                                                    : ClassifyCost(request));
+  if (!admitted.ok()) {
+    // Synchronous rejections still leave a record: error rates and the
+    // flight recorder must see the requests that never ran.
+    ticket->record.shed = admitted.code() == ErrorCode::kResourceExhausted;
+    CloseRecord(*ticket, admitted);
+    ticket->promise.set_value(std::move(admitted));
+    return future;
   }
 
-  if (options_.default_deadline_seconds > 0 && request.budget.deadline.never()) {
-    request.budget.deadline =
-        Deadline::AfterSeconds(options_.default_deadline_seconds);
+  Budget& budget = request.budget_;
+  if (options_.default_deadline_seconds > 0 && budget.deadline.never()) {
+    budget.deadline = Deadline::AfterSeconds(options_.default_deadline_seconds);
   }
-  record.had_deadline = !request.budget.deadline.never();
-  const CancelToken caller_cancel = request.budget.cancel;
+  ticket->record.had_deadline = !budget.deadline.never();
+  const CancelToken caller_cancel = budget.cancel;
 
-  // Singleflight: attach to an identical in-flight computation instead of
-  // queueing a duplicate. The waiter keeps its admission slot (it is real
-  // load until answered) but never takes a pool task — the leader's worker
-  // resolves it. Skipped under brownout: degraded answers are shaped by the
-  // ladder level at execution time, which identical requests submitted at
-  // different moments need not share.
+  // Singleflight (single estimates only): attach to an identical in-flight
+  // computation instead of queueing a duplicate. The waiter keeps its
+  // admission slot (it is real load until answered) but never takes a pool
+  // task — the leader's worker resolves it. Skipped under brownout: degraded
+  // answers are shaped by the ladder level at execution time, which
+  // identical requests submitted at different moments need not share.
   std::shared_ptr<CoalesceGroup> group;
-  if (options_.coalescing && request.coalesce &&
+  if (!request.is_sweep() && options_.coalescing && request.coalesce_ &&
       (overload_ == nullptr || overload_->level() == 0)) {
     std::string key = CoalesceKey(request);
     if (!key.empty()) {
@@ -801,21 +810,17 @@ void EstimationService::SubmitEstimateImpl(
       auto it = coalesce_.find(key);
       if (it != coalesce_.end()) {
         CoalesceGroup::Waiter waiter;
-        waiter.done = std::move(done);
         waiter.budget.cancel =
             CancelToken::LinkedTo({caller_cancel, shutdown_cancel_});
-        waiter.budget.deadline = request.budget.deadline;
-        waiter.workflow = request.workflow.empty() && request.flow != nullptr
-                              ? request.flow->name()
-                              : request.workflow;
-        waiter.tenant = tenant;
-        waiter.record = record;
-        waiter.observe = observe;
-        waiter.submit_us = obs::MonotonicUs();
+        waiter.budget.deadline = budget.deadline;
+        waiter.workflow = request.flow_ != nullptr ? request.flow_->name()
+                                                   : request.workflow_;
+        ticket->submit_us = obs::MonotonicUs();
+        waiter.ticket = std::move(ticket);
         it->second->member_cancels.push_back(caller_cancel);
         it->second->waiters.push_back(std::move(waiter));
         coalesce_attached_.fetch_add(1, std::memory_order_relaxed);
-        return;
+        return future;
       }
       group = std::make_shared<CoalesceGroup>();
       group->key = std::move(key);
@@ -824,256 +829,85 @@ void EstimationService::SubmitEstimateImpl(
     }
   }
 
-  // Request-scoped token, what the execution polls. An uncoalesced request
-  // observes its caller's cancel and the service-wide shutdown signal; a
+  // Request-scoped token, what the execution polls. Any other request
+  // observes its caller's cancel and the service-wide shutdown signal (a
+  // sweep's cancelled candidates surface per-candidate in its result); a
   // coalesce leader computes for the whole group, so it observes the
   // group-abandon signal (all members cancelled) instead of its own caller
   // alone.
-  request.budget.cancel =
+  budget.cancel =
       group != nullptr
           ? CancelToken::LinkedTo({group->abandon, shutdown_cancel_})
           : CancelToken::LinkedTo({caller_cancel, shutdown_cancel_});
 
-  const double submit_us = obs::MonotonicUs();
-  pool_->Submit([this, request = std::move(request), done = std::move(done),
-                 submit_us, record, observe, tenant, group]() mutable {
-    tenants_->OnExecuteStart(tenant);
-    const double exec_start_us = obs::MonotonicUs();
-    Result<WorkflowEstimate> result =
-        Execute(request, submit_us, observe ? &record : nullptr, group);
-    // Execution time only (not queue wait): the EMA this feeds prices the
-    // tenant's future admissions, and waiting is not the tenant's cost.
-    const double exec_ms = (obs::MonotonicUs() - exec_start_us) * 1e-3;
-    if (!result.ok()) {
-      result = Result<WorkflowEstimate>(MapCancelCause(result.status()));
+  ticket->submit_us = obs::MonotonicUs();
+  pool_->Submit([this, request = std::move(request), ticket = std::move(ticket),
+                 group] {
+    const double start_us = obs::MonotonicUs();
+    ticket->record.start_us = start_us;
+    tenants_->OnExecuteStart(ticket->tenant);
+    // Feed the overload controller the queue sojourn every dequeued request
+    // observed — including ones about to expire; their wait is exactly the
+    // signal the controller exists to see.
+    if (overload_ != nullptr) {
+      overload_->ObserveSojourn((start_us - ticket->submit_us) * 1e-3,
+                                start_us);
     }
-    tenants_->OnDone(tenant, result.ok(), exec_ms);
-    if (result.ok()) {
-      completed_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().completed.Add(1);
-    } else {
-      failed_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().failed.Add(1);
-    }
-    const TaskTimeMemo::Stats cache = memo_.stats();
-    Metrics().cache_hit_rate.Set(cache.hit_rate());
-    if (observe) {
-      record.end_us = obs::MonotonicUs();
-      record.ok = result.ok();
-      record.outcome_code =
-          static_cast<std::uint8_t>(result.status().code());
-      record.deadline_met =
-          !record.had_deadline ||
-          result.status().code() != ErrorCode::kDeadlineExceeded;
-      flight_.Record(record);
-      slo_.RecordOutcome(obs::OpClassFor(record.op), record.total_us() * 1e-3,
-                         record.ok, record.had_deadline, record.deadline_met);
-    }
-    ReleaseSlot();
-    // Waiters resolve before the leader's own callback: attached requests
-    // were submitted earlier and should not queue behind the leader's
-    // continuation.
-    if (group != nullptr) FulfillWaiters(group, result);
-    done(std::move(result));
+    obs::RequestRecord* record = ticket->observe ? &ticket->record : nullptr;
+    Result<EstimateResponse> result =
+        request.is_sweep()
+            ? ExecuteSweep(request, start_us, record)
+            : Execute(request, ticket->submit_us, start_us, record, group);
+    Finish(*ticket, std::move(result), (obs::MonotonicUs() - start_us) * 1e-3,
+           group);
   });
-}
-
-std::future<Result<EstimateResponse>> EstimationService::Submit(
-    EstimateRequest request) {
-  auto promise = std::make_shared<std::promise<Result<EstimateResponse>>>();
-  std::future<Result<EstimateResponse>> future = promise->get_future();
-  if (request.is_sweep()) {
-    ServiceSweepRequest sweep;
-    sweep.workflow = std::move(request.workflow_);
-    sweep.flow = std::move(request.flow_);
-    sweep.cluster = std::move(request.cluster_);
-    sweep.tenant = std::move(request.tenant_);
-    sweep.nodes_list = std::move(request.nodes_list_);
-    sweep.budget = std::move(request.budget_);
-    SubmitSweepImpl(std::move(sweep),
-                    [promise](Result<ServiceSweepResult> result) {
-                      if (!result.ok()) {
-                        promise->set_value(
-                            Result<EstimateResponse>(result.status()));
-                        return;
-                      }
-                      EstimateResponse response;
-                      response.sweep = std::move(result).value();
-                      promise->set_value(std::move(response));
-                    });
-  } else {
-    ServiceRequest estimate;
-    estimate.workflow = std::move(request.workflow_);
-    estimate.flow = std::move(request.flow_);
-    estimate.cluster = std::move(request.cluster_);
-    estimate.tenant = std::move(request.tenant_);
-    estimate.nodes = request.nodes_;
-    estimate.budget = std::move(request.budget_);
-    estimate.explain = request.explain_;
-    estimate.coalesce = request.coalesce_;
-    SubmitEstimateImpl(std::move(estimate),
-                       [promise](Result<WorkflowEstimate> result) {
-                         if (!result.ok()) {
-                           promise->set_value(
-                               Result<EstimateResponse>(result.status()));
-                           return;
-                         }
-                         EstimateResponse response;
-                         response.estimate = std::move(result).value();
-                         promise->set_value(std::move(response));
-                       });
-  }
   return future;
 }
 
-std::vector<std::future<Result<EstimateResponse>>>
-EstimationService::SubmitBatch(std::vector<EstimateRequest> requests) {
-  std::vector<std::future<Result<EstimateResponse>>> futures;
-  futures.reserve(requests.size());
-  for (EstimateRequest& request : requests) {
-    futures.push_back(Submit(std::move(request)));
+Result<EstimateResponse> EstimationService::ExecuteSweep(
+    const EstimateRequest& request, double start_us,
+    obs::RequestRecord* record) {
+  Result<Resolved> resolved = Resolve(request);
+  if (!resolved.ok()) return resolved.status();
+  const ClusterEntry& entry = *resolved->cluster;
+  if (record != nullptr) {
+    record->set_workflow(resolved->workflow);
+    record->set_cluster(entry.name);
   }
-  return futures;
-}
-
-void EstimationService::SubmitSweepImpl(
-    ServiceSweepRequest request,
-    std::function<void(Result<ServiceSweepResult>)> done) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().submitted.Add(1);
-
-  const bool observe = obs::MetricsEnabled();
-  obs::RequestRecord record;
-  if (observe) {
-    record.id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
-    record.set_op("sweep");
-    record.set_workflow(request.workflow);
-    record.set_cluster(request.cluster);
-    record.submit_us = obs::MonotonicUs();
+  std::vector<SweepCandidate> candidates;
+  candidates.reserve(request.nodes_list_.size());
+  for (int nodes : request.nodes_list_) {
+    ClusterSpec spec = entry.spec;
+    spec.num_nodes = nodes;
+    candidates.push_back({resolved->flow.get(), spec,
+                          resolved->workflow + "@" + std::to_string(nodes)});
   }
-  const auto reject = [&](Status status) {
-    if (observe) {
-      record.start_us = record.end_us = obs::MonotonicUs();
-      record.ok = false;
-      record.outcome_code = static_cast<std::uint8_t>(status.code());
-      record.shed = status.code() == ErrorCode::kResourceExhausted;
-      flight_.Record(record);
-      slo_.RecordOutcome(obs::OpClass::kSweep, record.total_us() * 1e-3, false,
-                         false, true);
-    }
-    done(Result<ServiceSweepResult>(std::move(status)));
-  };
-
-  std::shared_lock admission(admission_mutex_);
-  if (draining_.load(std::memory_order_acquire)) {
-    reject(Status::FailedPrecondition("service is draining"));
-    return;
+  SweepOptions sweep_options;
+  sweep_options.memo = &memo_;
+  sweep_options.cache_scope = entry.scope;
+  sweep_options.checkpoints = &checkpoints_;
+  // Candidates fan out across the service pool; the worker running this
+  // body participates (ParallelFor is nest-safe), so a sweep uses idle
+  // capacity without a second pool.
+  sweep_options.pool = pool_.get();
+  sweep_options.budget = request.budget_;
+  sweep_options.estimator = options_.estimator;
+  EstimateResponse response;
+  ServiceSweepResult& result = response.sweep.emplace();
+  result.sweep =
+      EstimateBatch(candidates, options_.scheduler, *entry.source, sweep_options);
+  result.nodes_list = request.nodes_list_;
+  result.workflow = resolved->workflow;
+  result.cluster = entry.name;
+  result.service_ms = (obs::MonotonicUs() - start_us) * 1e-3;
+  if (record != nullptr) {
+    const SweepStats& stats = result.sweep.stats;
+    record->resumed_states = static_cast<std::uint32_t>(stats.resumed_states);
+    record->path = stats.resumed_states > 0 ? obs::RequestPath::kIncremental
+                   : stats.cache_hit_rate > 0.5 ? obs::RequestPath::kMemoWarm
+                                                : obs::RequestPath::kFullReplay;
   }
-  const std::string tenant = TenantRegistry::Canonical(request.tenant);
-  // A sweep is many estimates on one slot — always expensive work to the
-  // overload controller, so brownout sheds batch capacity-planning first.
-  if (Status admitted = Admit(tenant, CostClass::kExpensive); !admitted.ok()) {
-    reject(std::move(admitted));
-    return;
-  }
-  if (options_.default_deadline_seconds > 0 && request.budget.deadline.never()) {
-    request.budget.deadline =
-        Deadline::AfterSeconds(options_.default_deadline_seconds);
-  }
-  record.had_deadline = !request.budget.deadline.never();
-  // Sweeps observe shutdown too (cancelled candidates surface per-candidate
-  // inside the sweep result).
-  request.budget.cancel =
-      CancelToken::LinkedTo({request.budget.cancel, shutdown_cancel_});
-
-  const double submit_us = obs::MonotonicUs();
-  pool_->Submit([this, request = std::move(request), done = std::move(done),
-                 record, observe, tenant, submit_us]() mutable {
-    const double start_us = obs::MonotonicUs();
-    record.start_us = start_us;
-    tenants_->OnExecuteStart(tenant);
-    if (overload_ != nullptr) {
-      overload_->ObserveSojourn((start_us - submit_us) * 1e-3, start_us);
-    }
-    const auto finish = [&](Result<ServiceSweepResult> result) {
-      tenants_->OnDone(tenant, result.ok(),
-                       (obs::MonotonicUs() - start_us) * 1e-3);
-      if (result.ok()) {
-        completed_.fetch_add(1, std::memory_order_relaxed);
-        Metrics().completed.Add(1);
-      } else {
-        failed_.fetch_add(1, std::memory_order_relaxed);
-        Metrics().failed.Add(1);
-      }
-      if (observe) {
-        record.end_us = obs::MonotonicUs();
-        record.ok = result.ok();
-        record.outcome_code =
-            static_cast<std::uint8_t>(result.status().code());
-        record.deadline_met =
-            !record.had_deadline ||
-            result.status().code() != ErrorCode::kDeadlineExceeded;
-        if (result.ok()) {
-          const SweepStats& stats = result.value().sweep.stats;
-          record.resumed_states =
-              static_cast<std::uint32_t>(stats.resumed_states);
-          record.path = stats.resumed_states > 0
-                            ? obs::RequestPath::kIncremental
-                            : (stats.cache_hit_rate > 0.5
-                                   ? obs::RequestPath::kMemoWarm
-                                   : obs::RequestPath::kFullReplay);
-        }
-        flight_.Record(record);
-        slo_.RecordOutcome(obs::OpClass::kSweep, record.total_us() * 1e-3,
-                           record.ok, record.had_deadline,
-                           record.deadline_met);
-      }
-      ReleaseSlot();
-      done(std::move(result));
-    };
-    std::string workflow_name;
-    Result<std::shared_ptr<const DagWorkflow>> flow =
-        ResolveFlow(request.workflow, request.flow, &workflow_name);
-    if (!flow.ok()) {
-      finish(flow.status());
-      return;
-    }
-    Result<std::shared_ptr<const ClusterEntry>> cluster =
-        ResolveCluster(request.cluster);
-    if (!cluster.ok()) {
-      finish(cluster.status());
-      return;
-    }
-    const ClusterEntry& entry = **cluster;
-    std::vector<SweepCandidate> candidates;
-    candidates.reserve(request.nodes_list.size());
-    for (int nodes : request.nodes_list) {
-      ClusterSpec spec = entry.spec;
-      spec.num_nodes = nodes;
-      candidates.push_back(
-          {flow.value().get(), spec, workflow_name + "@" + std::to_string(nodes)});
-    }
-    SweepOptions sweep_options;
-    sweep_options.memo = &memo_;
-    sweep_options.cache_scope = entry.scope;
-    sweep_options.checkpoints = &checkpoints_;
-    // Candidates fan out across the service pool; the worker running this
-    // closure participates (ParallelFor is nest-safe), so a sweep uses idle
-    // capacity without a second pool.
-    sweep_options.pool = pool_.get();
-    sweep_options.budget = request.budget;
-    sweep_options.estimator = options_.estimator;
-    ServiceSweepResult result;
-    result.sweep =
-        EstimateBatch(candidates, options_.scheduler, *entry.source, sweep_options);
-    result.nodes_list = request.nodes_list;
-    result.workflow = std::move(workflow_name);
-    result.cluster = entry.name;
-    result.service_ms = (obs::MonotonicUs() - start_us) * 1e-3;
-    const TaskTimeMemo::Stats cache = memo_.stats();
-    Metrics().cache_hit_rate.Set(cache.hit_rate());
-    finish(std::move(result));
-  });
+  return response;
 }
 
 void EstimationService::ResetWarmState() {

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -202,19 +201,15 @@ class EstimationService {
   /// The entry point: submits one EstimateRequest — a single estimate or,
   /// when the request carries a SweepNodes list, a sweep — and resolves to
   /// the matching half of EstimateResponse. Never blocks on estimation: the
-  /// returned future is either already failed (shed / draining /
-  /// unresolvable name) or will be fulfilled by a worker. Safe from any
-  /// thread. Identical concurrent single-estimate requests are coalesced
-  /// onto one computation (ServiceOptions::coalescing). A sweep counts as
-  /// one admission-queue slot; its candidates fan out across the same pool
-  /// and share the persistent memo.
+  /// returned future is either already failed (draining, or shed at
+  /// admission) or will be fulfilled by a worker. Names are resolved on the
+  /// worker, so an unknown workflow or cluster fails the future from there
+  /// and counts as `failed`. Safe from any thread. Identical concurrent
+  /// single-estimate requests are coalesced onto one computation
+  /// (ServiceOptions::coalescing). A sweep counts as one admission-queue
+  /// slot; its candidates fan out across the same pool and share the
+  /// persistent memo.
   std::future<Result<EstimateResponse>> Submit(EstimateRequest request);
-
-  /// Batch convenience over the unified entry point: one future per
-  /// request, admitted independently (a full queue sheds the tail, not the
-  /// whole batch).
-  std::vector<std::future<Result<EstimateResponse>>> SubmitBatch(
-      std::vector<EstimateRequest> requests);
 
   /// Graceful shutdown: stops admitting (subsequent Submits fail with
   /// FailedPrecondition), waits for every queued and in-flight request to
@@ -294,47 +289,12 @@ class EstimationService {
  private:
   struct ClusterEntry;
   struct CoalesceGroup;
+  struct Resolved;
+  struct Ticket;
 
-  /// The lowered forms the two execution paths run; Submit splits an
-  /// EstimateRequest into one of them. Exactly one of `workflow` (a
-  /// registered name) or `flow` (a caller-supplied workflow) is set; empty
-  /// `cluster` selects "default", empty `tenant` selects "default". The
-  /// budget is merged with the service's default deadline and polled at
-  /// admission, at dequeue, and per estimator state.
-  struct ServiceRequest {
-    std::string workflow;
-    std::shared_ptr<const DagWorkflow> flow;
-    std::string cluster;
-    std::string tenant;
-    /// When > 0, overrides the cluster's node count for this request only.
-    int nodes = 0;
-    Budget budget;
-    bool explain = false;
-    bool coalesce = true;
-  };
-  struct ServiceSweepRequest {
-    std::string workflow;
-    std::shared_ptr<const DagWorkflow> flow;
-    std::string cluster;
-    std::string tenant;
-    std::vector<int> nodes_list;
-    Budget budget;
-  };
-
-  /// Completion-callback forms of the two execution paths. `done` is
-  /// invoked exactly once — synchronously for rejected requests, from a
-  /// worker (or a coalesced leader's worker) otherwise.
-  void SubmitEstimateImpl(ServiceRequest request,
-                          std::function<void(Result<WorkflowEstimate>)> done);
-  void SubmitSweepImpl(ServiceSweepRequest request,
-                       std::function<void(Result<ServiceSweepResult>)> done);
-
-  /// Resolves the request's workflow/cluster under the registry lock.
-  Result<std::shared_ptr<const DagWorkflow>> ResolveFlow(
-      const std::string& name, const std::shared_ptr<const DagWorkflow>& inline_flow,
-      std::string* resolved_name) const;
-  Result<std::shared_ptr<const ClusterEntry>> ResolveCluster(
-      const std::string& name) const;
+  /// Resolves the request's workflow (registered name or inline flow) and
+  /// cluster (empty selects "default") under the registry lock.
+  Result<Resolved> Resolve(const EstimateRequest& request) const;
 
   /// Cost classes the fast pre-estimate sorts requests into for overload
   /// shedding: warm work (memo/checkpoint-backed, never shed), cheap cold
@@ -346,7 +306,7 @@ class EstimationService {
   /// completed successfully since the last warm-state reset, expensive if
   /// cold with >= expensive_job_threshold jobs. Resolution failures come out
   /// kCheap — the real error surfaces downstream with full context.
-  CostClass ClassifyCost(const ServiceRequest& request) const;
+  CostClass ClassifyCost(const EstimateRequest& request) const;
 
   /// Admission control; on success the caller owns one global queue slot
   /// AND one queued slot of `tenant` (released together). Rejections carry
@@ -364,28 +324,45 @@ class EstimationService {
   static std::string WarmKey(const std::string& scope,
                              const std::string& workflow, int nodes);
 
-  /// Runs one estimate on a worker thread (slot already held). `record` (null
-  /// while request observability is disarmed) accumulates the request's
-  /// attribution: resolved names, states executed, memo behaviour, path
-  /// class, breaker interaction. `group` (null when the request is not a
-  /// coalesce leader) arms the group-abandon poll: the execution unwinds
-  /// once every attached caller has cancelled.
-  Result<WorkflowEstimate> Execute(const ServiceRequest& request,
-                                   double submit_us, obs::RequestRecord* record,
+  /// The execution bodies, run on a worker with the slot already held.
+  /// `record` (null while request observability is disarmed) accumulates
+  /// the request's attribution: resolved names, states executed, memo
+  /// behaviour, path class, breaker interaction. Execute prices one
+  /// estimate; `group` (null when the request is not a coalesce leader)
+  /// arms the group-abandon poll, so the execution unwinds once every
+  /// attached caller has cancelled. ExecuteSweep prices every candidate of
+  /// a sweep.
+  Result<EstimateResponse> Execute(const EstimateRequest& request,
+                                   double submit_us, double start_us,
+                                   obs::RequestRecord* record,
                                    const std::shared_ptr<CoalesceGroup>& group);
+  Result<EstimateResponse> ExecuteSweep(const EstimateRequest& request,
+                                        double start_us,
+                                        obs::RequestRecord* record);
+
+  /// The one finish step of an admitted request: tenant accounting,
+  /// outcome counters, the record, the slot, then the promise. A coalesce
+  /// leader's waiters are fulfilled just before its own promise.
+  void Finish(Ticket& ticket, Result<EstimateResponse> result, double exec_ms,
+              const std::shared_ptr<CoalesceGroup>& group);
+
+  /// Closes the request's record into the flight recorder and the SLO
+  /// tracker (no-op while request observability is disarmed).
+  void CloseRecord(Ticket& ticket, const Status& status);
 
   /// The coalesce key of a single-estimate request: the same value
   /// fingerprint the prefix-checkpoint store keys on (scope + cluster bits +
   /// scheduler + effective estimator options + per-job workflow bytes) plus
   /// the resolved names and the explain flag. Empty when the request cannot
   /// be keyed (unresolvable names — the leader path surfaces the error).
-  std::string CoalesceKey(const ServiceRequest& request) const;
+  std::string CoalesceKey(const EstimateRequest& request) const;
 
   /// Resolves every waiter of a finished leader: each gets its own status
-  /// (own budget first, then the leader outcome mapped per-waiter) and its
-  /// own accounting; runs on the leader's worker, outside the coalesce lock.
+  /// (own budget first, then the leader outcome mapped per-waiter) and goes
+  /// through Finish with zero execution time; runs on the leader's worker,
+  /// outside the coalesce lock.
   void FulfillWaiters(const std::shared_ptr<CoalesceGroup>& group,
-                      const Result<WorkflowEstimate>& leader_result);
+                      const Result<EstimateResponse>& leader_result);
 
   /// The per-cluster breaker (created lazily); nullptr when breakers are
   /// disabled. Entries are never destroyed while the service lives.

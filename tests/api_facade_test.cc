@@ -62,6 +62,11 @@
 #error "the single-process serving surface requires dagperf >= 0.11"
 #endif
 
+// EstimationService::SubmitBatch was removed in 0.12: one Submit per request.
+#if DAGPERF_VERSION_MAJOR == 0 && DAGPERF_VERSION_MINOR < 12
+#error "EstimationService without SubmitBatch requires dagperf >= 0.12"
+#endif
+
 namespace dagperf {
 namespace {
 
