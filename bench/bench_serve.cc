@@ -8,7 +8,7 @@
 //   warm — one long-lived EstimationService: shared pool, admission queue,
 //          and the persistent cross-request task-time memo.
 //
-// Two further sections exercise the multi-tenant overload layer:
+// Two further sections exercise multi-tenant admission and warm restarts:
 //
 //   multi-tenant — `clients` flooder threads hammer a small-queue service
 //          under Zipf-skewed tenant names while one light tenant issues a
@@ -185,7 +185,7 @@ int Main(int argc, char** argv) {
     }
   };
 
-  // --- Multi-tenant overload: a Zipf-skewed flood with one light tenant. ---
+  // --- Multi-tenant flood: Zipf-skewed tenants plus one light tenant. ---
   //
   // The queue is deliberately tiny (depth ~ worker count) so a served
   // request never waits behind more than one wave of work: under flood the
@@ -197,7 +197,6 @@ int Main(int argc, char** argv) {
   ServiceOptions mt_options;
   mt_options.threads = 4;
   mt_options.max_queue_depth = 6;
-  mt_options.overload_target_sojourn_ms = 50.0;
   EstimationService mt(mt_options);
   register_all(mt);
   for (std::size_t i = 0; i < distinct; ++i) {
@@ -258,7 +257,6 @@ int Main(int argc, char** argv) {
   std::atomic<std::uint64_t> flood_attempts{0};
   std::atomic<std::uint64_t> flood_completed{0};
   std::atomic<std::uint64_t> flood_shed{0};
-  std::atomic<std::uint64_t> degraded_answers{0};
   std::vector<std::thread> flooders;
   const double contended_start = Now();
   for (int c = 0; c < clients; ++c) {
@@ -274,7 +272,6 @@ int Main(int argc, char** argv) {
         const Result<EstimateResponse> result = mt.Submit(std::move(request)).get();
         if (result.ok()) {
           ++flood_completed;
-          if (result->estimate->degraded) ++degraded_answers;
         } else if (IsRetryable(result.status().code())) {
           ++flood_shed;
           if (result.status().retry_after_ms() <= 0.0) ++missing_retry_hint;
@@ -451,7 +448,7 @@ int Main(int argc, char** argv) {
       "multi-tenant (%d flooders, zipf over 4 tenants + 1 light):\n"
       "  light p99 isolated %6.2f ms, contended %6.2f ms (ratio %.2fx, "
       "bound %.2f ms %s, %llu retries)\n"
-      "  flood: %llu attempts, %llu completed, %llu shed, %llu degraded; "
+      "  flood: %llu attempts, %llu completed, %llu shed; "
       "sustained %.1f req/s\n"
       "  non-retryable errors %llu, sheds missing retry hint %llu\n",
       clients, light_p99_isolated, light_p99_contended, light_p99_ratio,
@@ -459,8 +456,7 @@ int Main(int argc, char** argv) {
       static_cast<unsigned long long>(light_retries),
       static_cast<unsigned long long>(flood_attempts.load()),
       static_cast<unsigned long long>(flood_completed.load()),
-      static_cast<unsigned long long>(flood_shed.load()),
-      static_cast<unsigned long long>(degraded_answers.load()), sustained_rps,
+      static_cast<unsigned long long>(flood_shed.load()), sustained_rps,
       static_cast<unsigned long long>(non_retryable.load()),
       static_cast<unsigned long long>(missing_retry_hint.load()));
   std::printf(
@@ -521,8 +517,6 @@ int Main(int argc, char** argv) {
               Json::MakeNumber(static_cast<double>(flood_completed.load())));
   mt_json.Set("flood_shed",
               Json::MakeNumber(static_cast<double>(flood_shed.load())));
-  mt_json.Set("degraded_answers",
-              Json::MakeNumber(static_cast<double>(degraded_answers.load())));
   mt_json.Set("sustained_rps", Json::MakeNumber(sustained_rps));
   mt_json.Set("non_retryable_errors",
               Json::MakeNumber(static_cast<double>(non_retryable.load())));

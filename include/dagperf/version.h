@@ -10,9 +10,9 @@
 ///     // one submission path: EstimationService::Submit(EstimateRequest)
 ///   #endif
 #define DAGPERF_VERSION_MAJOR 0
-#define DAGPERF_VERSION_MINOR 12
+#define DAGPERF_VERSION_MINOR 13
 
 /// "MAJOR.MINOR" as a string literal.
-#define DAGPERF_VERSION_STRING "0.12"
+#define DAGPERF_VERSION_STRING "0.13"
 
 #endif  // DAGPERF_VERSION_H_

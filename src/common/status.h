@@ -50,10 +50,9 @@ class Status {
 
   /// Server-suggested earliest retry time for retryable failures, in
   /// milliseconds; 0 means "no hint" (clients fall back to their own
-  /// backoff). The estimation service attaches this to every shed response
-  /// so a CoDel-paced admission queue can spread the retry wave; the wire
-  /// protocol carries it as error.retry_after_ms and RetryPolicy honours it
-  /// as a backoff floor.
+  /// backoff). The estimation service attaches this to every shed response,
+  /// scaled by queue fullness, so a full admission queue spreads the retry
+  /// wave; the wire protocol carries it as error.retry_after_ms.
   double retry_after_ms() const { return retry_after_ms_; }
   void set_retry_after_ms(double ms) { retry_after_ms_ = ms < 0 ? 0.0 : ms; }
 

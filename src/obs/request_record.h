@@ -83,15 +83,15 @@ struct RequestRecord {
   void set_cluster(const std::string& s) { SetName(cluster, kNameBytes, s); }
 };
 
-/// A structured service event (breaker transition, overload level change,
-/// drain epoch) pinned alongside the request ring — the "what changed"
-/// context a post-mortem reads next to the slow requests.
+/// A structured service event (breaker transition, snapshot, drain epoch)
+/// pinned alongside the request ring — the "what changed" context a
+/// post-mortem reads next to the slow requests.
 struct FlightEvent {
   static constexpr std::size_t kKindBytes = 24;
   static constexpr std::size_t kDetailBytes = 96;
 
   double ts_us = 0.0;
-  char kind[kKindBytes] = {};    // "breaker" | "overload" | "drain" | ...
+  char kind[kKindBytes] = {};    // "breaker" | "snapshot" | "drain" | ...
   char detail[kDetailBytes] = {};
 };
 

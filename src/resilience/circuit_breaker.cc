@@ -114,8 +114,9 @@ void CircuitBreaker::Record(const Status& status) {
     return;
   }
   if (options_.failure_threshold <= 0) return;
-  // Neutral outcome (client error, cancellation): release the probe slot a
-  // half-open Allow() claimed without judging the path either way.
+  // Neutral outcome (client error, cancellation, the caller's own deadline):
+  // release the probe slot a half-open Allow() claimed without judging the
+  // path either way.
   std::lock_guard<std::mutex> lock(mutex_);
   if (state_ == BreakerState::kHalfOpen) {
     half_open_inflight_ = std::max(0, half_open_inflight_ - 1);
@@ -123,8 +124,7 @@ void CircuitBreaker::Record(const Status& status) {
 }
 
 bool CircuitBreaker::CountsAsFailure(ErrorCode code) {
-  return code == ErrorCode::kInternal || code == ErrorCode::kDeadlineExceeded ||
-         code == ErrorCode::kUnavailable;
+  return code == ErrorCode::kInternal || code == ErrorCode::kUnavailable;
 }
 
 BreakerState CircuitBreaker::state() const {

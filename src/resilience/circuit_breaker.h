@@ -31,7 +31,7 @@ namespace resilience {
 ///
 /// Only failures that indicate path trouble should be recorded — the service
 /// feeds it through CountsAsFailure, which ignores client errors (invalid
-/// input, unknown names) and deliberate cancellation.
+/// input, unknown names), deliberate cancellation and expired deadlines.
 enum class BreakerState { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
 
 const char* BreakerStateName(BreakerState state);
@@ -82,9 +82,10 @@ class CircuitBreaker {
   void Record(const Status& status);
 
   /// Whether a failed estimate indicts the serving path rather than the
-  /// request: internal errors, expired deadlines (stuck path), and
-  /// upstream unavailability count; invalid input, unknown names, load
-  /// shedding, and cancellation do not.
+  /// request: internal errors and upstream unavailability count; invalid
+  /// input, unknown names, load shedding, cancellation and expired deadlines
+  /// do not. A deadline is the caller's own budget, so one tenant sending
+  /// short deadlines must not fail every tenant's requests.
   static bool CountsAsFailure(ErrorCode code);
 
   BreakerState state() const;

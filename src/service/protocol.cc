@@ -24,7 +24,7 @@ Json ErrorResponseWithCode(const Json* id, const std::string& code,
   error.Set("code", Json::MakeString(code));
   error.Set("retryable", Json::MakeBool(retryable));
   error.Set("message", Json::MakeString(message));
-  // Server-paced backoff hint (overload / fair-share sheds). Emitted only
+  // Server-paced backoff hint (queue-full / fair-share sheds). Emitted only
   // when the server actually set one, so existing error shapes are stable.
   if (retry_after_ms > 0) {
     error.Set("retry_after_ms", Json::MakeNumber(retry_after_ms));
@@ -79,15 +79,9 @@ Json EstimateToJson(const WorkflowEstimate& served, bool explain) {
                            static_cast<double>(served.estimate.states.size())));
   result.Set("queue_wait_ms", Json::MakeNumber(served.queue_wait_ms));
   result.Set("service_ms", Json::MakeNumber(served.service_ms));
-  // Brownout tag: the answer is still the paper's model, but attribution may
-  // be absent and the state budget capped. Emitted only when set, so the
-  // healthy response shape is unchanged.
-  if (served.degraded) {
-    result.Set("degraded", Json::MakeBool(true));
-    result.Set("degrade_level", Json::MakeNumber(served.degrade_level));
-  }
-  // Coalesce tag (emit-only-when-set, like "degraded"): this answer was a
-  // copy of an identical in-flight computation's result.
+  // Coalesce tag, emitted only when set so the usual response shape is
+  // unchanged: this answer was a copy of an identical in-flight
+  // computation's result.
   if (served.coalesced) {
     result.Set("coalesced", Json::MakeBool(true));
   }
@@ -224,11 +218,6 @@ Json StatsToJson(const ServiceStats& stats) {
     tenants.Append(std::move(t));
   }
   result.Set("tenants", std::move(tenants));
-  Json overload = Json::MakeObject();
-  overload.Set("level", Json::MakeNumber(stats.overload_level));
-  overload.Set("shed",
-               Json::MakeNumber(static_cast<double>(stats.overload_shed)));
-  result.Set("overload", std::move(overload));
   return result;
 }
 

@@ -35,12 +35,6 @@ struct WorkflowEstimate {
   std::string cluster;
   double queue_wait_ms = 0.0;
   double service_ms = 0.0;
-  /// True when the answer was produced under brownout (level >= 1): the
-  /// estimate is still the paper's model, but attribution may be absent and
-  /// the state budget may have been capped. Wire field "degraded".
-  bool degraded = false;
-  /// Brownout ladder level the request executed at (0 = healthy).
-  int degrade_level = 0;
   /// True when this request never ran the estimator: it attached to an
   /// identical in-flight computation (singleflight coalescing) and received
   /// a copy of the leader's answer — bit-identical to what its own run

@@ -141,7 +141,7 @@ struct EstimationService::Ticket {
   obs::RequestRecord record;
   bool observe = false;
   /// When the request was handed off (pool enqueue or coalesce attach):
-  /// queue wait and overload sojourn are measured from here.
+  /// queue wait is measured from here.
   double submit_us = 0.0;
 };
 
@@ -215,19 +215,6 @@ EstimationService::EstimationService(ServiceOptions options)
   TenantRegistry::Options tenant_options;
   tenant_options.capacity_slots = options_.max_queue_depth;
   tenants_ = std::make_unique<TenantRegistry>(tenant_options);
-  if (options_.overload_target_sojourn_ms > 0) {
-    resilience::OverloadOptions overload_options = options_.overload;
-    overload_options.target_sojourn_ms = options_.overload_target_sojourn_ms;
-    overload_ =
-        std::make_unique<resilience::OverloadController>(overload_options);
-    // Ladder transitions into the flight recorder, same as breaker
-    // transitions: the overload gauge only shows the current level, but a
-    // post-mortem needs the escalation/recovery sequence with its timing.
-    overload_->SetTransitionCallback([this](int from, int to) {
-      flight_.AddEvent("overload", "brownout level " + std::to_string(from) +
-                                       " -> " + std::to_string(to));
-    });
-  }
   pool_ = std::make_unique<ThreadPool>(threads);
   RegisterCluster("default", ClusterSpec::PaperCluster());
 }
@@ -319,44 +306,16 @@ Result<EstimationService::Resolved> EstimationService::Resolve(
   return resolved;
 }
 
-EstimationService::CostClass EstimationService::ClassifyCost(
-    const EstimateRequest& request) const {
-  Result<Resolved> resolved = Resolve(request);
-  if (!resolved.ok()) return CostClass::kCheap;
-  {
-    std::lock_guard<std::mutex> lock(warm_mutex_);
-    if (warm_keys_.count(WarmKey(resolved->cluster->scope, resolved->workflow,
-                                 request.nodes_)) > 0) {
-      return CostClass::kWarm;
-    }
-  }
-  return resolved->flow->num_jobs() >= options_.expensive_job_threshold
-             ? CostClass::kExpensive
-             : CostClass::kCheap;
-}
-
-std::string EstimationService::WarmKey(const std::string& scope,
-                                       const std::string& workflow,
-                                       int nodes) {
-  return scope + '|' + workflow + '|' + std::to_string(nodes);
-}
-
-void EstimationService::MarkWarm(const std::string& key) {
-  std::lock_guard<std::mutex> lock(warm_mutex_);
-  warm_keys_.insert(key);
-}
-
 double EstimationService::RetryAfterHintMs() const {
-  if (overload_ != nullptr) return overload_->RetryAfterMs();
-  // No controller: scale a base hint by queue fullness so a nearly-full
-  // server spreads its retry storm wider than a briefly-full one.
+  // Scale a base hint by queue fullness so a nearly-full server spreads its
+  // retry storm wider than a briefly-full one.
   const double fullness =
       static_cast<double>(queue_depth_.load(std::memory_order_relaxed)) /
       static_cast<double>(options_.max_queue_depth);
   return 25.0 * (1.0 + std::clamp(fullness, 0.0, 1.0));
 }
 
-Status EstimationService::Admit(const std::string& tenant, CostClass cost) {
+Status EstimationService::Admit(const std::string& tenant) {
   // Claim a slot optimistically; back out when the bound is exceeded. The
   // transient overshoot is invisible (competing claimants also back out).
   const int depth = queue_depth_.fetch_add(1, std::memory_order_acq_rel) + 1;
@@ -376,23 +335,6 @@ Status EstimationService::Admit(const std::string& tenant, CostClass cost) {
   if (Status injected = resilience::InjectAt(AdmitFault()); !injected.ok()) {
     queue_depth_.fetch_sub(1, std::memory_order_acq_rel);
     return injected;
-  }
-  // Cost-aware overload shedding: the controller drops expensive cold work
-  // first and warm work never (brownout exists to keep serving it).
-  if (overload_ != nullptr &&
-      overload_->ShouldShed(cost == CostClass::kWarm,
-                            cost == CostClass::kExpensive)) {
-    queue_depth_.fetch_sub(1, std::memory_order_acq_rel);
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().shed.Add(1);
-    overload_->RecordShed();
-    tenants_->OnShed(tenant);
-    return Status::ResourceExhausted(
-               "overloaded (brownout level " +
-               std::to_string(overload_->level()) + "): shedding " +
-               (cost == CostClass::kExpensive ? "expensive" : "cold") +
-               " work, retry with backoff")
-        .WithRetryAfterMs(overload_->RetryAfterMs());
   }
   // Tenant fair share (DRF) last, so a lone tenant sees exactly the global
   // queue-bound behaviour and only contended multi-tenant load diverges.
@@ -415,7 +357,6 @@ void EstimationService::ReleaseSlot() {
 Result<EstimateResponse> EstimationService::Execute(
     const EstimateRequest& request, double submit_us, double start_us,
     obs::RequestRecord* record, const std::shared_ptr<CoalesceGroup>& group) {
-  const int brownout = overload_ != nullptr ? overload_->level() : 0;
   // A request can spend its whole budget waiting in the queue; detect that
   // here so an expired request costs a check, not an estimate.
   if (request.budget_.exhausted()) {
@@ -469,17 +410,6 @@ Result<EstimateResponse> EstimationService::Execute(
     estimator_options.budget = request.budget_;
     estimator_options.attribute_bottlenecks =
         request.explain_ || estimator_options.attribute_bottlenecks;
-    // Brownout overlay (the resilience/overload.h ladder): level >= 1 drops
-    // bottleneck attribution, level >= 2 additionally caps the state budget.
-    // The answer is tagged degraded below so clients can re-query later.
-    if (brownout >= 1) estimator_options.attribute_bottlenecks = false;
-    if (brownout >= 2) {
-      estimator_options.max_states =
-          estimator_options.max_states > 0
-              ? std::min(estimator_options.max_states,
-                         options_.brownout_max_states)
-              : options_.brownout_max_states;
-    }
 
     // The warm path: every task-time query goes through the service-lifetime
     // memo, scoped by the cluster entry so hardware never aliases, and the
@@ -508,37 +438,15 @@ Result<EstimateResponse> EstimationService::Execute(
     const StateBasedEstimator estimator(spec, options_.scheduler,
                                         estimator_options);
     Result<DagEstimate> estimate = estimator.Estimate(*resolved->flow, cached);
-    if (!estimate.ok()) {
-      Status status = estimate.status();
-      // A brownout state cap is the server's doing, not the workflow's:
-      // rewrite the estimator's kInternal into retryable RESOURCE_EXHAUSTED
-      // (with a retry hint) before the breaker sees it, so brownout never
-      // opens the cluster breaker.
-      if (brownout >= 2 && status.code() == ErrorCode::kInternal &&
-          status.message().find("state limit exceeded") != std::string::npos) {
-        return Status::ResourceExhausted(
-                   "brownout (level " + std::to_string(brownout) +
-                   ") state cap hit for " + workflow_name +
-                   ": retry when the server recovers")
-            .WithRetryAfterMs(RetryAfterHintMs());
-      }
-      return status;
-    }
+    if (!estimate.ok()) return estimate.status();
 
     EstimateResponse response;
     WorkflowEstimate& served = response.estimate.emplace();
     served.estimate = std::move(estimate).value();
-    if (request.explain_ && brownout < 1) {
-      served.critical_path = CriticalPath(served.estimate);
-    }
+    if (request.explain_) served.critical_path = CriticalPath(served.estimate);
     served.flow = resolved->flow;
     served.workflow = workflow_name;
     served.cluster = entry.name;
-    served.degraded = brownout >= 1;
-    served.degrade_level = brownout;
-    // This triple now answers from warm state: cost classification stops
-    // shedding it and brownout level 3 keeps serving it.
-    MarkWarm(WarmKey(entry.scope, served.workflow, request.nodes_));
     const double end_us = obs::MonotonicUs();
     served.queue_wait_ms = (start_us - submit_us) * 1e-3;
     served.service_ms = (end_us - start_us) * 1e-3;
@@ -736,7 +644,10 @@ void EstimationService::Finish(Ticket& ticket, Result<EstimateResponse> result,
     failed_.fetch_add(1, std::memory_order_relaxed);
     Metrics().failed.Add(1);
   }
-  Metrics().cache_hit_rate.Set(memo_.stats().hit_rate());
+  // memo_.stats() takes every shard lock: skip it when Set would be a no-op.
+  if (obs::MetricsEnabled()) {
+    Metrics().cache_hit_rate.Set(memo_.stats().hit_rate());
+  }
   CloseRecord(ticket, result.status());
   ReleaseSlot();
   // Waiters resolve before the leader's own promise, so a caller that sees
@@ -772,13 +683,9 @@ std::future<Result<EstimateResponse>> EstimationService::Submit(
   // no Submit is between the draining check and the pool enqueue when the
   // pool starts waiting.
   std::shared_lock admission(admission_mutex_);
-  // A sweep is many estimates on one slot — always expensive work to the
-  // overload controller, so brownout sheds batch capacity-planning first.
   Status admitted = draining_.load(std::memory_order_acquire)
                         ? Status::FailedPrecondition("service is draining")
-                        : Admit(ticket->tenant, request.is_sweep()
-                                                    ? CostClass::kExpensive
-                                                    : ClassifyCost(request));
+                        : Admit(ticket->tenant);
   if (!admitted.ok()) {
     // Synchronous rejections still leave a record: error rates and the
     // flight recorder must see the requests that never ran.
@@ -798,12 +705,9 @@ std::future<Result<EstimateResponse>> EstimationService::Submit(
   // Singleflight (single estimates only): attach to an identical in-flight
   // computation instead of queueing a duplicate. The waiter keeps its
   // admission slot (it is real load until answered) but never takes a pool
-  // task — the leader's worker resolves it. Skipped under brownout: degraded
-  // answers are shaped by the ladder level at execution time, which
-  // identical requests submitted at different moments need not share.
+  // task — the leader's worker resolves it.
   std::shared_ptr<CoalesceGroup> group;
-  if (!request.is_sweep() && options_.coalescing && request.coalesce_ &&
-      (overload_ == nullptr || overload_->level() == 0)) {
+  if (!request.is_sweep() && options_.coalescing && request.coalesce_) {
     std::string key = CoalesceKey(request);
     if (!key.empty()) {
       std::lock_guard<std::mutex> lock(coalesce_mutex_);
@@ -846,13 +750,6 @@ std::future<Result<EstimateResponse>> EstimationService::Submit(
     const double start_us = obs::MonotonicUs();
     ticket->record.start_us = start_us;
     tenants_->OnExecuteStart(ticket->tenant);
-    // Feed the overload controller the queue sojourn every dequeued request
-    // observed — including ones about to expire; their wait is exactly the
-    // signal the controller exists to see.
-    if (overload_ != nullptr) {
-      overload_->ObserveSojourn((start_us - ticket->submit_us) * 1e-3,
-                                start_us);
-    }
     obs::RequestRecord* record = ticket->observe ? &ticket->record : nullptr;
     Result<EstimateResponse> result =
         request.is_sweep()
@@ -913,19 +810,15 @@ Result<EstimateResponse> EstimationService::ExecuteSweep(
 void EstimationService::ResetWarmState() {
   memo_.Clear();
   checkpoints_.Clear();
-  {
-    // The warm-work set mirrors the caches: cleared state is cold state,
-    // and cost classification must see it that way.
-    std::lock_guard<std::mutex> lock(warm_mutex_);
-    warm_keys_.clear();
-  }
   stats_epoch_.fetch_add(1, std::memory_order_relaxed);
   Metrics().reset_epoch.Add(1);
   // Recompute the rate gauges from the post-reset counters: a scrape after
   // this point sees rates of the new epoch only, never a blend of the old
   // epoch's numerator with the new epoch's denominator. The queue-depth
   // gauge is re-set too — drain-path sheds can leave it at a stale depth.
-  Metrics().cache_hit_rate.Set(memo_.stats().hit_rate());
+  if (obs::MetricsEnabled()) {
+    Metrics().cache_hit_rate.Set(memo_.stats().hit_rate());
+  }
   Metrics().queue_depth.Set(queue_depth_.load(std::memory_order_relaxed));
 }
 
@@ -960,8 +853,6 @@ Status EstimationService::LoadSnapshot(const std::string& path) {
                         " memo entries + " +
                         std::to_string(snapshot_stats.checkpoints) +
                         " checkpoints");
-    // Restored triples are warm again the first time they are served;
-    // nothing to pre-seed in warm_keys_ — classification heals per serve.
   } else {
     flight_.AddEvent("snapshot", "restore rejected: " + status.message());
   }
@@ -1053,11 +944,6 @@ ServiceStats EstimationService::Stats() const {
   stats.cache = memo_.stats();
   stats.incremental = checkpoints_.stats();
   stats.tenants = tenants_->Stats();
-  if (overload_ != nullptr) {
-    const resilience::OverloadController::Stats overload = overload_->stats();
-    stats.overload_level = overload.level;
-    stats.overload_shed = overload.shed;
-  }
   return stats;
 }
 

@@ -10,7 +10,6 @@
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cluster/cluster_spec.h"
@@ -26,7 +25,6 @@
 #include "obs/request_record.h"
 #include "obs/slo.h"
 #include "resilience/circuit_breaker.h"
-#include "resilience/overload.h"
 #include "scheduler/drf.h"
 #include "service/request.h"
 #include "service/tenancy.h"
@@ -65,8 +63,8 @@ struct ServiceOptions {
 
   SchedulerConfig scheduler;
 
-  /// Consecutive failures (INTERNAL / DEADLINE_EXCEEDED / UNAVAILABLE) that
-  /// open a per-cluster circuit breaker; while open, requests against that
+  /// Consecutive failures (INTERNAL / UNAVAILABLE) that open a per-cluster
+  /// circuit breaker; while open, requests against that
   /// cluster fail fast with UNAVAILABLE{retryable}. 0 disables (library
   /// default — `dagperf serve` turns it on). Breaker state is mirrored to
   /// the obs gauge "resilience.breaker_state[.<cluster>]".
@@ -82,28 +80,6 @@ struct ServiceOptions {
 
   /// Flight-recorder geometry (ring capacity, exemplar slots).
   obs::FlightRecorderOptions flight;
-
-  /// Overload protection (resilience/overload.h): when > 0, a CoDel-style
-  /// controller watches queue sojourn against this target (ms) and walks
-  /// the brownout ladder — shedding expensive cold work with retryable
-  /// RESOURCE_EXHAUSTED + retry_after_ms, then degrading answers. 0
-  /// disables the controller entirely (library default — `dagperf serve`
-  /// maps --overload-target-ms here).
-  double overload_target_sojourn_ms = 0.0;
-
-  /// Remaining controller knobs (interval, escalate/recover counts, retry
-  /// floor); its target_sojourn_ms is overridden by the field above.
-  resilience::OverloadOptions overload;
-
-  /// Cold requests whose flow has at least this many jobs classify as
-  /// "expensive" for cost-aware shedding (a fast pre-estimate: the
-  /// state-count and task-time query volume both scale with job count).
-  int expensive_job_threshold = 12;
-
-  /// max_states cap applied to every estimate at brownout level >= 2; a
-  /// capped-out estimate fails with retryable RESOURCE_EXHAUSTED (never
-  /// kInternal, so brownout can't open the cluster breaker).
-  int brownout_max_states = 2048;
 
   /// Warm-state snapshot file (model/snapshot.h). When set, Drain/Shutdown
   /// serialise the memo + prefix-checkpoint store here immediately before
@@ -155,10 +131,6 @@ struct ServiceStats {
   PrefixCheckpointStore::Stats incremental;
   /// Per-tenant accounting (stats verb "tenants" array), name-ordered.
   std::vector<TenantRegistry::TenantStats> tenants;
-  /// Brownout ladder level right now (0 = healthy; absent controller = 0).
-  int overload_level = 0;
-  /// Requests the overload controller shed (subset of `shed`).
-  std::uint64_t overload_shed = 0;
   /// Singleflight coalescing: computations whose answer was fanned out to
   /// at least one attached waiter, and requests served by attaching
   /// (`coalesce_attached` requests ran zero estimator states). Completed
@@ -250,7 +222,7 @@ class EstimationService {
   /// cluster under the same name can never resume from stale state.
   PrefixCheckpointStore& checkpoints() { return checkpoints_; }
 
-  /// The last-N-requests ring + pinned exemplars + breaker/overload events.
+  /// The last-N-requests ring + pinned exemplars + breaker/drain events.
   /// Dump it via obs::FlightRecorder::ToJson (the protocol's
   /// {"op":"flightrecorder"} verb and `serve --flight-out` do).
   const obs::FlightRecorder& flight_recorder() const { return flight_; }
@@ -280,12 +252,6 @@ class EstimationService {
   /// restoring is always optional. Call before serving traffic.
   Status LoadSnapshot(const std::string& path);
 
-  /// The overload controller; nullptr when overload control is disabled
-  /// (ServiceOptions::overload_target_sojourn_ms == 0).
-  resilience::OverloadController* overload_controller() {
-    return overload_.get();
-  }
-
  private:
   struct ClusterEntry;
   struct CoalesceGroup;
@@ -296,33 +262,16 @@ class EstimationService {
   /// cluster (empty selects "default") under the registry lock.
   Result<Resolved> Resolve(const EstimateRequest& request) const;
 
-  /// Cost classes the fast pre-estimate sorts requests into for overload
-  /// shedding: warm work (memo/checkpoint-backed, never shed), cheap cold
-  /// work (shed only at the top of the ladder), expensive cold work (first
-  /// to go).
-  enum class CostClass { kWarm, kCheap, kExpensive };
-
-  /// Fast pre-classification: warm if the (scope, workflow, nodes) triple
-  /// completed successfully since the last warm-state reset, expensive if
-  /// cold with >= expensive_job_threshold jobs. Resolution failures come out
-  /// kCheap — the real error surfaces downstream with full context.
-  CostClass ClassifyCost(const EstimateRequest& request) const;
-
   /// Admission control; on success the caller owns one global queue slot
   /// AND one queued slot of `tenant` (released together). Rejections carry
-  /// retry_after_ms. Order: global queue bound, chaos seam, overload
-  /// controller, tenant fair share.
-  Status Admit(const std::string& tenant, CostClass cost);
+  /// retry_after_ms. Order: global queue bound, chaos seam, tenant fair
+  /// share.
+  Status Admit(const std::string& tenant);
   void ReleaseSlot();
 
-  /// retry_after_ms hint for shed responses: the controller's ladder-scaled
-  /// hint when overload control is on, else a queue-fullness-scaled base.
+  /// retry_after_ms hint for shed responses: a base hint scaled by queue
+  /// fullness.
   double RetryAfterHintMs() const;
-
-  /// Marks a (scope, workflow, nodes) triple warm after a successful serve.
-  void MarkWarm(const std::string& key);
-  static std::string WarmKey(const std::string& scope,
-                             const std::string& workflow, int nodes);
 
   /// The execution bodies, run on a worker with the slot already held.
   /// `record` (null while request observability is disarmed) accumulates
@@ -380,14 +329,6 @@ class EstimationService {
   /// Per-tenant accounting + DRF fair-share admission (created in the ctor
   /// after max_queue_depth is clamped; never null).
   std::unique_ptr<TenantRegistry> tenants_;
-
-  /// CoDel-style overload controller; null when disabled.
-  std::unique_ptr<resilience::OverloadController> overload_;
-
-  /// (scope, workflow, nodes) triples that completed successfully since the
-  /// last warm-state reset — the "warm work" set brownout never sheds.
-  mutable std::mutex warm_mutex_;
-  std::unordered_set<std::string> warm_keys_;
 
   /// Guards registries (shared: request resolution; unique: registration).
   mutable std::shared_mutex registry_mutex_;

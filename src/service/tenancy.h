@@ -52,8 +52,7 @@ class TenantRegistry {
     std::uint64_t submitted = 0;
     std::uint64_t completed = 0;
     std::uint64_t failed = 0;
-    /// Requests rejected for this tenant (fair-share + overload + global
-    /// queue sheds).
+    /// Requests rejected for this tenant (fair-share + global queue sheds).
     std::uint64_t shed_total = 0;
     /// Total execution time consumed, milliseconds.
     double cpu_ms = 0.0;
@@ -71,7 +70,7 @@ class TenantRegistry {
   Status Admit(const std::string& tenant);
 
   /// Returns the queued slot of a request that was admitted but then
-  /// rejected downstream (chaos seam, overload shed) without executing.
+  /// rejected downstream without executing.
   void OnAdmitRollback(const std::string& tenant);
 
   /// Moves one slot of `tenant` from queued to in-flight (worker dequeue).
@@ -83,7 +82,7 @@ class TenantRegistry {
   void OnDone(const std::string& tenant, bool ok, double cpu_ms);
 
   /// Counts a shed — and its arrival — that happened before Admit granted a
-  /// slot (global queue full, overload controller), so `submitted` always
+  /// slot (global queue full), so `submitted` always
   /// means arrivals: submitted == completed + failed + shed_total + held.
   void OnShed(const std::string& tenant);
 

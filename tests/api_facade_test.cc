@@ -20,8 +20,8 @@
 #error "service layer requires dagperf >= 0.4"
 #endif
 
-// The resilience layer (RetryPolicy, CircuitBreaker, FaultInjector,
-// graceful shutdown) arrived in 0.5.
+// The resilience layer (CircuitBreaker, FaultInjector, graceful shutdown)
+// arrived in 0.5.
 #if DAGPERF_VERSION_MAJOR == 0 && DAGPERF_VERSION_MINOR < 5
 #error "resilience layer requires dagperf >= 0.5"
 #endif
@@ -32,8 +32,8 @@
 #error "serving observability requires dagperf >= 0.6"
 #endif
 
-// Multi-tenant serving (DRF fair-share admission, overload brownout ladder,
-// warm-state snapshot/restore) arrived in 0.7.
+// Multi-tenant serving (DRF fair-share admission, warm-state
+// snapshot/restore) arrived in 0.7.
 #if DAGPERF_VERSION_MAJOR == 0 && DAGPERF_VERSION_MINOR < 7
 #error "multi-tenant serving requires dagperf >= 0.7"
 #endif
@@ -65,6 +65,13 @@
 // EstimationService::SubmitBatch was removed in 0.12: one Submit per request.
 #if DAGPERF_VERSION_MAJOR == 0 && DAGPERF_VERSION_MINOR < 12
 #error "EstimationService without SubmitBatch requires dagperf >= 0.12"
+#endif
+
+// Admission is the queue bound plus DRF fair share: the overload brownout
+// ladder, its ServiceOptions knobs and the client retry policy were removed
+// in 0.13.
+#if DAGPERF_VERSION_MAJOR == 0 && DAGPERF_VERSION_MINOR < 13
+#error "admission without the brownout ladder requires dagperf >= 0.13"
 #endif
 
 namespace dagperf {
@@ -99,15 +106,6 @@ TEST(ApiFacadeTest, ResilienceSurfaceIsReachableThroughTheFacade) {
   EXPECT_STREQ(ErrorCodeName(unavailable.code()), "UNAVAILABLE");
   EXPECT_TRUE(IsRetryable(unavailable.code()));
 
-  resilience::RetryPolicy retry({.max_attempts = 3, .initial_backoff_ms = 0.0});
-  int calls = 0;
-  const Status status = retry.RunStatus([&] {
-    ++calls;
-    return calls < 3 ? Status::Unavailable("warming up") : Status::Ok();
-  });
-  EXPECT_TRUE(status.ok());
-  EXPECT_EQ(calls, 3);
-
   resilience::CircuitBreakerOptions breaker_options;
   breaker_options.failure_threshold = 2;
   resilience::CircuitBreaker breaker(breaker_options);
@@ -123,12 +121,7 @@ TEST(ApiFacadeTest, ResilienceSurfaceIsReachableThroughTheFacade) {
 }
 
 TEST(ApiFacadeTest, MultiTenantServingSurfaceIsReachableThroughTheFacade) {
-  // 0.7 surface: overload controller, tenant registry, warm snapshots.
-  resilience::OverloadController controller;
-  controller.ForceLevelForTest(3);
-  EXPECT_TRUE(controller.ShouldShed(/*warm=*/false, /*expensive=*/false));
-  EXPECT_GT(controller.RetryAfterMs(), 0.0);
-
+  // 0.7 surface: tenant registry, warm snapshots.
   TenantRegistry tenants;
   EXPECT_EQ(TenantRegistry::Canonical(""), "default");
   EXPECT_TRUE(tenants.Admit("alice").ok());

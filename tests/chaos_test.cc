@@ -14,12 +14,10 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdlib>
 #include <future>
 #include <iostream>
 #include <memory>
-#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
@@ -32,6 +30,7 @@
 #include "service/line_client.h"
 #include "service/server.h"
 #include "service/service.h"
+#include "service_testing.h"
 #include "workloads/suite.h"
 
 namespace dagperf {
@@ -472,39 +471,6 @@ TEST(ChaosTest, GreedyTenantCannotStarveALightOne) {
   EXPECT_TRUE(saw_greedy);
   EXPECT_TRUE(saw_light);
 }
-
-/// A task-time source whose queries block until Open() — parks all the
-/// service workers so shutdown fires with requests genuinely in flight.
-class GateSource : public TaskTimeSource {
- public:
-  Duration TaskTime(const EstimationContext&) const override {
-    std::unique_lock lock(mutex_);
-    ++entered_;
-    entered_cv_.notify_all();
-    open_cv_.wait(lock, [&] { return open_; });
-    return Duration::Seconds(1);
-  }
-
-  void Open() {
-    {
-      std::lock_guard lock(mutex_);
-      open_ = true;
-    }
-    open_cv_.notify_all();
-  }
-
-  void WaitUntilEntered(int count) const {
-    std::unique_lock lock(mutex_);
-    entered_cv_.wait(lock, [&] { return entered_ >= count; });
-  }
-
- private:
-  mutable std::mutex mutex_;
-  mutable std::condition_variable open_cv_;
-  mutable std::condition_variable entered_cv_;
-  mutable bool open_ = false;
-  mutable int entered_ = 0;
-};
 
 TEST(ChaosTest, ShutdownUnderLoadAnswersEveryInflightRequest) {
   constexpr int kInflight = 8;

@@ -122,11 +122,11 @@ TEST(FlightRecorderTest, EventRingKeepsLastN) {
   options.event_capacity = 2;
   obs::FlightRecorder recorder(options);
   recorder.AddEvent("breaker", "default: closed -> open");
-  recorder.AddEvent("overload", "brownout level 0 -> 1");
+  recorder.AddEvent("snapshot", "saved 12 memo entries + 3 checkpoints");
   recorder.AddEvent("drain", "pool quiesced");
   const obs::FlightRecorder::Dump dump = recorder.Snapshot();
   ASSERT_EQ(dump.events.size(), 2u);
-  EXPECT_STREQ(dump.events.front().kind, "overload");
+  EXPECT_STREQ(dump.events.front().kind, "snapshot");
   EXPECT_STREQ(dump.events.back().kind, "drain");
 }
 

@@ -1,16 +1,12 @@
 // Tests of the resilience layer (src/resilience/): deterministic fault
-// injection (same seed => same fire pattern), retry with jittered backoff,
-// circuit-breaker state transitions, and their integration into the
-// estimation service (a parked request's deadline surfacing as
-// DEADLINE_EXCEEDED, bounded shutdown mapped to UNAVAILABLE, per-cluster
-// breakers fast-failing while open).
+// injection (same seed => same fire pattern), circuit-breaker state
+// transitions, and their integration into the estimation service (a parked
+// request's deadline surfacing as DEADLINE_EXCEEDED without opening the
+// breaker, bounded shutdown mapped to UNAVAILABLE, per-cluster breakers
+// fast-failing while open).
 
 #include <chrono>
-#include <cmath>
-#include <condition_variable>
 #include <future>
-#include <limits>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -20,7 +16,6 @@
 #include "obs/metrics.h"
 #include "resilience/circuit_breaker.h"
 #include "resilience/fault.h"
-#include "resilience/retry.h"
 #include "service/service.h"
 #include "service_testing.h"
 #include "workloads/suite.h"
@@ -34,8 +29,6 @@ using resilience::CircuitBreakerOptions;
 using resilience::FaultInjector;
 using resilience::FaultPlan;
 using resilience::FaultPoint;
-using resilience::RetryOptions;
-using resilience::RetryPolicy;
 
 /// Every test that touches the (process-global) injector goes through this
 /// guard so a failing assertion cannot leak an armed schedule into the next
@@ -154,167 +147,6 @@ TEST(FaultInjector, ThreadPoolSubmitSeamFiresThroughTheHook) {
   EXPECT_EQ(injector.GetPoint("pool.submit").fires(), after_disarm);
 }
 
-TEST(RetryPolicy, RetriesRetryableUntilSuccess) {
-  RetryPolicy retry({.max_attempts = 5, .initial_backoff_ms = 0.0});
-  int calls = 0;
-  Result<int> result = retry.Run<int>([&]() -> Result<int> {
-    ++calls;
-    if (calls < 3) return Status::ResourceExhausted("shed");
-    return 42;
-  });
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value(), 42);
-  EXPECT_EQ(calls, 3);
-  EXPECT_EQ(retry.stats().retries, 2u);
-  EXPECT_EQ(retry.stats().gave_up, 0u);
-}
-
-TEST(RetryPolicy, NonRetryableFailsImmediately) {
-  RetryPolicy retry({.max_attempts = 5, .initial_backoff_ms = 0.0});
-  int calls = 0;
-  const Status status = retry.RunStatus([&] {
-    ++calls;
-    return Status::InvalidArgument("bad request");
-  });
-  EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(retry.stats().retries, 0u);
-}
-
-TEST(RetryPolicy, GivesUpAfterMaxAttempts) {
-  RetryPolicy retry({.max_attempts = 3, .initial_backoff_ms = 0.0});
-  int calls = 0;
-  const Status status = retry.RunStatus([&] {
-    ++calls;
-    return Status::Unavailable("still down");
-  });
-  EXPECT_EQ(status.code(), ErrorCode::kUnavailable);
-  EXPECT_EQ(calls, 3);
-  EXPECT_EQ(retry.stats().gave_up, 1u);
-  EXPECT_EQ(retry.stats().retries, 2u);
-}
-
-TEST(RetryPolicy, ExhaustedBudgetStopsRetrying) {
-  RetryPolicy retry({.max_attempts = 100, .initial_backoff_ms = 0.0});
-  Budget budget;
-  budget.deadline = Deadline::AfterSeconds(0);  // Already expired.
-  int calls = 0;
-  const Status status = retry.RunStatus(
-      [&] {
-        ++calls;
-        return Status::Unavailable("down");
-      },
-      budget);
-  EXPECT_EQ(status.code(), ErrorCode::kUnavailable);
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(retry.stats().gave_up, 1u);
-}
-
-TEST(RetryPolicy, BackoffIsJitteredWithinTheExponentialCap) {
-  RetryPolicy retry({.max_attempts = 4,
-                     .initial_backoff_ms = 10.0,
-                     .max_backoff_ms = 50.0,
-                     .multiplier = 2.0,
-                     .seed = 42});
-  for (int trial = 0; trial < 50; ++trial) {
-    EXPECT_GE(retry.NextBackoffMs(0), 0.0);
-    EXPECT_LE(retry.NextBackoffMs(0), 10.0);
-    EXPECT_LE(retry.NextBackoffMs(1), 20.0);
-    EXPECT_LE(retry.NextBackoffMs(10), 50.0);  // Clamped to max.
-  }
-  // Full jitter: draws differ (same policy, advancing stream).
-  RetryPolicy a({.seed = 42});
-  EXPECT_NE(a.NextBackoffMs(3), a.NextBackoffMs(3));
-  // Same seed, fresh policy: reproducible.
-  RetryPolicy b({.seed = 42});
-  RetryPolicy c({.seed = 42});
-  EXPECT_EQ(b.NextBackoffMs(3), c.NextBackoffMs(3));
-}
-
-TEST(RetryPolicy, BackoffOverflowStaysFiniteAndCapped) {
-  // multiplier^retry overflows double to +inf long before retry counts get
-  // exotic; the max_backoff clamp must win over the overflow, never produce
-  // a NaN/inf sleep.
-  RetryPolicy retry({.max_attempts = 4,
-                     .initial_backoff_ms = 10.0,
-                     .max_backoff_ms = 50.0,
-                     .multiplier = 2.0,
-                     .seed = 7});
-  for (const int huge : {64, 1024, 1 << 20, std::numeric_limits<int>::max()}) {
-    const double sleep_ms = retry.NextBackoffMs(huge);
-    EXPECT_TRUE(std::isfinite(sleep_ms)) << huge;
-    EXPECT_GE(sleep_ms, 0.0) << huge;
-    EXPECT_LE(sleep_ms, 50.0) << huge;
-  }
-  // Negative retry numbers (defensive: callers count from 0) clamp too.
-  EXPECT_LE(retry.NextBackoffMs(-5), 10.0);
-}
-
-TEST(RetryPolicy, ServerRetryHintFloorsTheBackoffSleep) {
-  // A shed response's retry_after_ms is a floor under the jittered sleep:
-  // with jitter drawn from [0, 10) the only way the retry waits >= 50ms is
-  // the server hint.
-  RetryPolicy retry({.max_attempts = 3, .initial_backoff_ms = 10.0});
-  int calls = 0;
-  const auto start = std::chrono::steady_clock::now();
-  const Status status = retry.RunStatus([&] {
-    ++calls;
-    if (calls == 1) {
-      return Status::ResourceExhausted("shed").WithRetryAfterMs(50.0);
-    }
-    return Status::Ok();
-  });
-  const double elapsed_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                start)
-          .count();
-  EXPECT_TRUE(status.ok());
-  EXPECT_EQ(calls, 2);
-  EXPECT_GE(elapsed_ms, 45.0) << "hint must floor the sleep";
-  EXPECT_EQ(retry.stats().retries, 1u);
-}
-
-TEST(RetryPolicy, BudgetCapBeatsTheServerHint) {
-  // A hostile/huge hint must not sleep past the deadline: the remaining
-  // budget still caps the sleep so the final attempt gets wall-clock.
-  RetryPolicy retry({.max_attempts = 3, .initial_backoff_ms = 1.0});
-  Budget budget;
-  budget.deadline = Deadline::AfterSeconds(0.2);
-  int calls = 0;
-  const auto start = std::chrono::steady_clock::now();
-  const Status status = retry.RunStatus(
-      [&] {
-        ++calls;
-        if (calls == 1) {
-          return Status::ResourceExhausted("shed").WithRetryAfterMs(60000.0);
-        }
-        return Status::Ok();
-      },
-      budget);
-  const double elapsed_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                start)
-          .count();
-  EXPECT_TRUE(status.ok());
-  EXPECT_EQ(calls, 2);
-  EXPECT_LT(elapsed_ms, 1000.0) << "a 60s hint must be capped by the budget";
-}
-
-TEST(RetryPolicy, RetriesCounterTicksWhenMetricsEnabled) {
-  obs::SetMetricsEnabled(true);
-  obs::Counter& counter =
-      obs::MetricsRegistry::Default().GetCounter("resilience.retries");
-  const std::uint64_t before = counter.value();
-  RetryPolicy retry({.max_attempts = 3, .initial_backoff_ms = 0.0});
-  int calls = 0;
-  (void)retry.RunStatus([&] {
-    ++calls;
-    return calls < 3 ? Status::Unavailable("x") : Status::Ok();
-  });
-  EXPECT_EQ(counter.value(), before + 2);
-  obs::SetMetricsEnabled(false);
-}
-
 TEST(CircuitBreaker, OpensAfterConsecutiveFailuresAndRejectsRetryably) {
   CircuitBreakerOptions options;
   options.failure_threshold = 3;
@@ -394,7 +226,8 @@ TEST(CircuitBreaker, NeutralOutcomesReleaseProbesWithoutJudging) {
 
 TEST(CircuitBreaker, CountsOnlyServingPathFailures) {
   EXPECT_TRUE(CircuitBreaker::CountsAsFailure(ErrorCode::kInternal));
-  EXPECT_TRUE(CircuitBreaker::CountsAsFailure(ErrorCode::kDeadlineExceeded));
+  // A deadline is the caller's own budget, not the path's health.
+  EXPECT_FALSE(CircuitBreaker::CountsAsFailure(ErrorCode::kDeadlineExceeded));
   EXPECT_TRUE(CircuitBreaker::CountsAsFailure(ErrorCode::kUnavailable));
   EXPECT_FALSE(CircuitBreaker::CountsAsFailure(ErrorCode::kInvalidArgument));
   EXPECT_FALSE(CircuitBreaker::CountsAsFailure(ErrorCode::kNotFound));
@@ -438,40 +271,6 @@ DagWorkflow TestFlow() {
   return std::move(named).value().flow;
 }
 
-/// A task-time source whose queries block until Open() — parks service
-/// workers mid-estimate so shutdown/deadline behaviour can be observed with
-/// requests genuinely in flight.
-class GateSource : public TaskTimeSource {
- public:
-  Duration TaskTime(const EstimationContext&) const override {
-    std::unique_lock lock(mutex_);
-    ++entered_;
-    entered_cv_.notify_all();
-    open_cv_.wait(lock, [&] { return open_; });
-    return Duration::Seconds(1);
-  }
-
-  void Open() {
-    {
-      std::lock_guard lock(mutex_);
-      open_ = true;
-    }
-    open_cv_.notify_all();
-  }
-
-  void WaitUntilEntered(int count) const {
-    std::unique_lock lock(mutex_);
-    entered_cv_.wait(lock, [&] { return entered_ >= count; });
-  }
-
- private:
-  mutable std::mutex mutex_;
-  mutable std::condition_variable open_cv_;
-  mutable std::condition_variable entered_cv_;
-  mutable bool open_ = false;
-  mutable int entered_ = 0;
-};
-
 TEST(ServiceResilience, ParkedRequestPastDeadlineSurfacesAsDeadlineExceeded) {
   ServiceOptions options;
   options.threads = 1;
@@ -493,6 +292,41 @@ TEST(ServiceResilience, ParkedRequestPastDeadlineSurfacesAsDeadlineExceeded) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), ErrorCode::kDeadlineExceeded)
       << result.status().ToString();
+}
+
+TEST(ServiceResilience, CallerDeadlinesNeverOpenTheBreaker) {
+  ServiceOptions options;
+  options.threads = 2;
+  options.breaker_failure_threshold = 2;
+  options.breaker_open_seconds = 60.0;
+  EstimationService service(options);
+  ASSERT_TRUE(service.RegisterWorkflow("q6", TestFlow()).ok());
+  GateSource gate;
+  ASSERT_TRUE(service.RegisterSource("default", &gate, "gate").ok());
+
+  // Two independent computations (no coalescing), both parked mid-estimate
+  // until well past their 50 ms deadline: as many consecutive expiries as
+  // the breaker threshold.
+  std::vector<std::future<Result<EstimateResponse>>> futures;
+  for (int i = 0; i < 2; ++i) {
+    futures.push_back(service.Submit(
+        EstimateRequest::For("q6").WithDeadline(0.05).WithoutCoalescing()));
+  }
+  gate.WaitUntilEntered(2);
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  gate.Open();
+  for (std::future<Result<EstimateResponse>>& future : futures) {
+    Result<EstimateResponse> result = future.get();
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), ErrorCode::kDeadlineExceeded)
+        << result.status().ToString();
+  }
+
+  // The expiries were the callers' own budgets: a request without a
+  // deadline is still served, not failed fast by an open breaker.
+  Result<WorkflowEstimate> served =
+      ServeEstimate(service, EstimateRequest::For("q6"));
+  EXPECT_TRUE(served.ok()) << served.status().ToString();
 }
 
 TEST(ServiceResilience, ShutdownUnderLoadAnswersEveryRequestRetryably) {

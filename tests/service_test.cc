@@ -6,9 +6,7 @@
 #include "service/service.h"
 
 #include <cmath>
-#include <condition_variable>
 #include <future>
-#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -30,40 +28,6 @@ DagWorkflow TestFlow() {
   EXPECT_TRUE(named.ok()) << named.status().ToString();
   return std::move(named).value().flow;
 }
-
-/// A task-time source whose first query blocks until Open() — holds a
-/// service worker mid-estimate so tests can pile requests up behind it.
-class GateSource : public TaskTimeSource {
- public:
-  Duration TaskTime(const EstimationContext&) const override {
-    std::unique_lock lock(mutex_);
-    ++entered_;
-    entered_cv_.notify_all();
-    open_cv_.wait(lock, [&] { return open_; });
-    return Duration::Seconds(1);
-  }
-
-  void Open() {
-    {
-      std::lock_guard lock(mutex_);
-      open_ = true;
-    }
-    open_cv_.notify_all();
-  }
-
-  /// Blocks until a worker is inside TaskTime (i.e. an estimate is running).
-  void WaitUntilEntered() const {
-    std::unique_lock lock(mutex_);
-    entered_cv_.wait(lock, [&] { return entered_ > 0; });
-  }
-
- private:
-  mutable std::mutex mutex_;
-  mutable std::condition_variable open_cv_;
-  mutable std::condition_variable entered_cv_;
-  mutable bool open_ = false;
-  mutable int entered_ = 0;
-};
 
 TEST(ServiceTest, EstimatesRegisteredWorkflow) {
   EstimationService service;

@@ -24,6 +24,7 @@
 //                    [--read-idle-seconds I]
 //                    [--metrics-port P] [--slo-p99-ms MS] [--slo-availability F]
 //                    [--flight-out FILE.json] [--port-file F]
+//                    [--snapshot-dir DIR] [--snapshot-interval-seconds S]
 //   dagperf metrics  [--port P] [--prom]
 //   dagperf top      --port P [--interval-ms I] [--iterations N]
 //
@@ -38,7 +39,9 @@
 // --grace-seconds to finish, stragglers are cancelled with
 // UNAVAILABLE{retryable}, and the process exits 0. --breaker-threshold K
 // opens a per-cluster circuit breaker after K consecutive serving failures
-// (0 disables; default 8).
+// (0 disables; default 8). Admission is the --queue-depth bound, then DRF
+// fair share across request tenants; every shed answers
+// RESOURCE_EXHAUSTED{retryable} with an error.retry_after_ms hint.
 //
 // --deadline-seconds bounds the wall-clock the estimator may spend; on
 // expiry the command exits 3 (sweeps print whatever candidates finished).
@@ -207,7 +210,7 @@ int Usage() {
                "[--stdio] [--port P] [--queue-depth D] [--grace-seconds G] "
                "[--breaker-threshold K] "
                "[--read-idle-seconds I] "
-               "[--overload-target-ms T] [--snapshot-dir DIR] "
+               "[--snapshot-dir DIR] "
                "[--snapshot-interval-seconds S] "
                "[--port-file F] "
                "[--metrics-port P] [--slo-p99-ms MS] [--slo-availability F] "
@@ -714,13 +717,6 @@ int CmdServe(const Args& args) {
   options.breaker_failure_threshold = args.GetInt("breaker-threshold", 8);
   if (options.max_queue_depth < 1) {
     return Fail(Status::InvalidArgument("--queue-depth must be >= 1"));
-  }
-  // Overload protection: --overload-target-ms T arms the CoDel-style
-  // controller (brownout ladder, cost-aware shedding); 0/absent leaves it
-  // off so a plain serve behaves exactly as before.
-  options.overload_target_sojourn_ms = args.GetDouble("overload-target-ms", 0.0);
-  if (options.overload_target_sojourn_ms < 0) {
-    return Fail(Status::InvalidArgument("--overload-target-ms must be >= 0"));
   }
   // Warm-state persistence: snapshots land in --snapshot-dir on drain /
   // shutdown and every --snapshot-interval-seconds, and are restored at boot.
